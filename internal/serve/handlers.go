@@ -1,17 +1,20 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"sort"
+	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/metrics"
 	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/stats"
+	"repro/internal/store"
 )
 
 // RunSummary is the headline report of one simulation in the wire shape.
@@ -98,136 +101,170 @@ type ScenarioInfo struct {
 	Hash string `json:"hash"`
 }
 
-// handleRun serves POST /v1/runs: one (spec, seed) simulation.
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
-	if err != nil {
-		s.countAndWriteError(w, err)
-		return
+// simCall is one validated simulation request in its journal form (mode,
+// content key, canonical spec, seed list, shards hint), with the decoded spec
+// its computation runs and the deadline a synchronous caller waits under.
+type simCall struct {
+	store.JobEntry
+	sp      scenario.Scenario
+	timeout time.Duration
+}
+
+// parse is the request parser of all three simulation endpoints: decode
+// (unknown fields rejected, so typos fail loudly), resolve the spec,
+// materialize the seed list, canonicalize, check the shards hint, derive the
+// content key. mode is the endpoint's; POST /v1/jobs passes "" and reads the
+// mode from the body.
+func (s *Server) parse(r *http.Request, mode string) (simCall, error) {
+	var req jobRequest
+	var into any = &req.simRequest
+	if mode == "" {
+		into = &req
 	}
-	sp, err := s.resolveSpec(req)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(into); err != nil {
+		return simCall{}, badRequest("decoding request: %v", err)
+	}
+	if mode == "" {
+		if mode = cmp.Or(req.Mode, "run"); mode != "run" && mode != "replicate" {
+			return simCall{}, badRequest(`unknown mode %q ("run" or "replicate")`, mode)
+		}
+	}
+	sp, err := s.resolveSpec(req.simRequest)
 	if err != nil {
-		s.countAndWriteError(w, err)
-		return
+		return simCall{}, err
+	}
+	seeds := []int64{req.Seed}
+	if mode == "replicate" {
+		if seeds, err = resolveSeeds(req.simRequest); err != nil {
+			return simCall{}, err
+		}
 	}
 	canon, err := scenario.Canonical(sp)
 	if err != nil {
-		s.countAndWriteError(w, badRequest("%v", err))
-		return
+		return simCall{}, badRequest("%v", err)
 	}
 	if err := checkShards(sp, req.Shards); err != nil {
-		s.countAndWriteError(w, err)
-		return
+		return simCall{}, err
 	}
-	key := resultKey(s.cfg.Version, "run", canon, req.Seed)
-	s.deliver(w, r, s.timeout(req), key, computeRun(sp, req.Seed, req.Shards, key))
+	return simCall{
+		JobEntry: store.JobEntry{Mode: mode, Key: resultKey(s.cfg.Version, mode, canon, seeds...),
+			Spec: canon, Seeds: seeds, Shards: req.Shards},
+		sp:      sp,
+		timeout: s.timeout(req.simRequest),
+	}, nil
 }
 
-// computeRun builds the pure compute function behind one (spec, seed) run:
-// identical arguments produce a byte-identical body, which is what lets the
-// result live under its content address. shards is an execution hint only —
-// sharded output is bit-identical to serial, so it is absent from the key.
-func computeRun(sp scenario.Scenario, seed int64, shards int, key string) func(ctx context.Context) ([]byte, error) {
-	return func(ctx context.Context) ([]byte, error) {
-		rc, err := experiment.FromScenario(sp, seed)
+// handleSim serves a synchronous simulation endpoint (POST /v1/runs with
+// mode "run", POST /v1/replicate with "replicate"): an unjournaled submit
+// plus a wait under the request deadline.
+func (s *Server) handleSim(mode string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.stats.requests.Add(1)
+		call, err := s.parse(r, mode)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		start := time.Now()
+		body, tier, c, err := s.submit(&call, false)
+		if c != nil {
+			ctx, cancel := context.WithTimeout(r.Context(), call.timeout)
+			body, err = s.wait(ctx, c)
+			cancel()
+		}
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		if tier == "miss" {
+			s.stats.cacheMisses.Add(1)
+		} else {
+			s.stats.cacheHits.Add(1)
+		}
+		if tier == "hit-disk" {
+			s.stats.diskHits.Add(1)
+		}
+		s.writeBody(w, start, call.Key, body, tier)
+	}
+}
+
+// compute runs the simulation behind c. It is a pure function of c's key —
+// identical calls produce byte-identical bodies — which is what lets the
+// body live under its content address. The shards hint is an execution
+// detail only: sharded output is bit-identical to serial, so it is absent
+// from the key.
+func (c *simCall) compute(ctx context.Context) ([]byte, error) {
+	if c.Mode == "replicate" {
+		return c.replicate(ctx)
+	}
+	var seed int64 // a journal entry without seeds replays as seed 0
+	if len(c.Seeds) > 0 {
+		seed = c.Seeds[0]
+	}
+	rc, err := experiment.FromScenario(c.sp, seed)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	rc.Shards = c.Shards
+	rep, err := experiment.RunOnceContext(ctx, rc)
+	if err != nil {
+		return nil, err
+	}
+	return marshalBody(RunResponse{
+		Key:      c.Key,
+		Scenario: c.sp.Name,
+		Protocol: rc.Protocol,
+		Seed:     seed,
+		Report:   summarize(rep),
+	})
+}
+
+// replicate computes one spec × seed list replication. Seeds run serially
+// on the one admitted worker slot — a single replicate cannot monopolize the
+// pool — and each seed rebuilds the stimulus, so seed-drawn stimuli
+// (anisotropic harmonics) vary per seed exactly as in a CLI replication. The
+// per-seed progress is scaled into [i/n, (i+1)/n] so a job-status stream
+// sees one monotone ramp across the whole replication.
+func (c *simCall) replicate(ctx context.Context) ([]byte, error) {
+	var agg metrics.Aggregate
+	var proto string
+	n := float64(len(c.Seeds))
+	for i, seed := range c.Seeds {
+		rc, err := experiment.FromScenario(c.sp, seed)
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
-		rc.Shards = shards
-		rep, err := experiment.RunOnceContext(ctx, rc)
+		rc.Shards = c.Shards
+		proto = rc.Protocol
+		seedCtx := ctx
+		if outer := node.ProgressFromContext(ctx); outer != nil {
+			base := float64(i)
+			seedCtx = node.WithProgress(ctx, func(now, horizon float64) {
+				outer((base+now/horizon)/n, 1)
+			})
+		}
+		rep, err := experiment.RunOnceContext(seedCtx, rc)
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(RunResponse{
-			Key:      key,
-			Scenario: sp.Name,
-			Protocol: rc.Protocol,
-			Seed:     seed,
-			Report:   summarize(rep),
-		})
+		agg.Add(rep)
 	}
-}
-
-// handleReplicate serves POST /v1/replicate: one spec across a seed list,
-// aggregated. Seeds run serially on the one admitted worker slot — a single
-// replicate request cannot monopolize the pool — and each seed rebuilds the
-// stimulus, so seed-drawn stimuli (anisotropic harmonics) vary per seed
-// exactly as in a CLI replication.
-func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
-	if err != nil {
-		s.countAndWriteError(w, err)
-		return
-	}
-	sp, err := s.resolveSpec(req)
-	if err != nil {
-		s.countAndWriteError(w, err)
-		return
-	}
-	seeds, err := resolveSeeds(req)
-	if err != nil {
-		s.countAndWriteError(w, err)
-		return
-	}
-	canon, err := scenario.Canonical(sp)
-	if err != nil {
-		s.countAndWriteError(w, badRequest("%v", err))
-		return
-	}
-	if err := checkShards(sp, req.Shards); err != nil {
-		s.countAndWriteError(w, err)
-		return
-	}
-	key := resultKey(s.cfg.Version, "replicate", canon, seeds...)
-	s.deliver(w, r, s.timeout(req), key, computeReplicate(sp, seeds, req.Shards, key))
-}
-
-// computeReplicate builds the pure compute function behind one spec × seed
-// list replication. Seeds run serially on the one admitted worker slot — a
-// single replicate cannot monopolize the pool — and each seed rebuilds the
-// stimulus, so seed-drawn stimuli vary per seed exactly as in a CLI run. The
-// per-seed progress is scaled into [i/n, (i+1)/n] so a job-status stream sees
-// one monotone ramp across the whole replication.
-func computeReplicate(sp scenario.Scenario, seeds []int64, shards int, key string) func(ctx context.Context) ([]byte, error) {
-	return func(ctx context.Context) ([]byte, error) {
-		var agg metrics.Aggregate
-		var proto string
-		n := float64(len(seeds))
-		for i, seed := range seeds {
-			rc, err := experiment.FromScenario(sp, seed)
-			if err != nil {
-				return nil, badRequest("%v", err)
-			}
-			rc.Shards = shards
-			proto = rc.Protocol
-			seedCtx := ctx
-			if outer := node.ProgressFromContext(ctx); outer != nil {
-				base := float64(i)
-				seedCtx = node.WithProgress(ctx, func(now, horizon float64) {
-					outer((base+now/horizon)/n, 1)
-				})
-			}
-			rep, err := experiment.RunOnceContext(seedCtx, rc)
-			if err != nil {
-				return nil, err
-			}
-			agg.Add(rep)
-		}
-		return marshalBody(ReplicateResponse{
-			Key:           key,
-			Scenario:      sp.Name,
-			Protocol:      proto,
-			Seeds:         seeds,
-			Delay:         meanCI(agg.Delay),
-			Energy:        meanCI(agg.Energy),
-			Duty:          meanCI(agg.Duty),
-			Missed:        meanCI(agg.Missed),
-			Messages:      meanCI(agg.Msgs),
-			MaxDelay:      meanCI(agg.MaxDel),
-			BatteryDeaths: meanCI(agg.Deaths),
-			FirstDeath:    meanCI(agg.FirstDeath),
-		})
-	}
+	return marshalBody(ReplicateResponse{
+		Key:           c.Key,
+		Scenario:      c.sp.Name,
+		Protocol:      proto,
+		Seeds:         c.Seeds,
+		Delay:         meanCI(agg.Delay),
+		Energy:        meanCI(agg.Energy),
+		Duty:          meanCI(agg.Duty),
+		Missed:        meanCI(agg.Missed),
+		Messages:      meanCI(agg.Msgs),
+		MaxDelay:      meanCI(agg.MaxDel),
+		BatteryDeaths: meanCI(agg.Deaths),
+		FirstDeath:    meanCI(agg.FirstDeath),
+	})
 }
 
 // checkShards validates the shards execution hint up front, so a non-shardable
@@ -311,13 +348,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // handleHealthz serves GET /v1/healthz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]string{"status": "ok"})
-}
-
-// countAndWriteError records a pre-simulation failure in the request counter
-// (deliver never saw it) and writes the error response.
-func (s *Server) countAndWriteError(w http.ResponseWriter, err error) {
-	s.stats.requests.Add(1)
-	s.writeError(w, err)
 }
 
 // writeJSON emits v as a JSON response body.

@@ -1,12 +1,14 @@
 // Async jobs: the journaled, crash-safe half of the serving API.
 //
-// POST /v1/jobs appends the canonical request to the write-ahead journal and
+// A job is the sync path's submit (engine.go) plus a journal entry: POST
+// /v1/jobs appends the canonical request to the write-ahead journal and
 // fsyncs it BEFORE the 202 acknowledgment leaves the server, so the ack is a
 // durable promise: kill -9 the process at any instant after the 202 and the
 // restarted server replays the submit entry, re-executes the simulation and —
 // by the repo's determinism guarantee — produces the byte-identical body the
-// dead process would have. GET /v1/jobs/{id} reports state, phase and
-// progress (streamed as NDJSON with ?stream=1; sharded runs report per
+// dead process would have. A submit the engine rejects (429) is never
+// journaled. GET /v1/jobs/{id} reports state and the progress of the job's
+// computation (streamed as NDJSON with ?stream=1; sharded runs report per
 // conservative window through the node.WithProgress hook); GET
 // /v1/jobs/{id}/result serves the finished body from the content-addressed
 // store under the exact key a synchronous request would have used.
@@ -14,7 +16,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -23,7 +24,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/node"
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
@@ -36,56 +36,48 @@ const (
 	JobFailed  = "failed"  // terminal failure; the result will never exist
 )
 
-// job is one acknowledged asynchronous simulation.
+// job is one acknowledged asynchronous simulation: a waiter on the
+// computation for its key, or on none when its body was already stored.
 type job struct {
-	id      string
-	mode    string // "run" or "replicate"
-	key     string // result content address
-	idem    string
-	compute func(ctx context.Context) ([]byte, error)
+	id   string
+	key  string // result content address
+	idem string
 
 	mu       sync.Mutex
+	comp     *computation // until the job ends; its state and progress are the job's
 	state    string
-	progress float64 // virtual-time fraction in [0, 1]
+	progress float64 // virtual-time fraction in [0, 1], kept when the job ends
 	errMsg   string
 	errCode  string
 	done     chan struct{} // closed on reaching JobDone or JobFailed
 }
 
-// snapshot reads the job's mutable state under its lock.
+// snapshot reads the job's state — its computation's, while it has one.
 func (j *job) snapshot() jobStatus {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return jobStatus{
-		ID:        j.id,
-		State:     j.state,
-		Progress:  j.progress,
-		Key:       j.key,
-		Error:     j.errMsg,
-		ErrorCode: j.errCode,
+	st := jobStatus{ID: j.id, State: j.state, Progress: j.progress, Key: j.key, Error: j.errMsg, ErrorCode: j.errCode}
+	c := j.comp
+	j.mu.Unlock()
+	if c != nil {
+		st.State, st.Progress = c.status()
 	}
+	return st
 }
 
-// setState transitions the job; terminal states close done exactly once.
-func (j *job) setState(state string) {
+// end moves the job to a terminal state, lets go of its computation and
+// closes done.
+func (j *job) end(state, code, msg string) {
 	j.mu.Lock()
-	j.state = state
+	if j.comp != nil {
+		_, j.progress = j.comp.status()
+		j.comp = nil
+	}
 	if state == JobDone {
 		j.progress = 1
 	}
-	terminal := state == JobDone || state == JobFailed
+	j.state, j.errCode, j.errMsg = state, code, msg
 	j.mu.Unlock()
-	if terminal {
-		close(j.done)
-	}
-}
-
-// fail records a terminal failure with its stable code.
-func (j *job) fail(code, msg string) {
-	j.mu.Lock()
-	j.errCode, j.errMsg = code, msg
-	j.mu.Unlock()
-	j.setState(JobFailed)
+	close(j.done)
 }
 
 // jobStatus is the wire shape of GET /v1/jobs/{id} (and each NDJSON stream
@@ -187,6 +179,21 @@ func (t *jobTable) settle(j *job) {
 	t.mu.Unlock()
 }
 
+// unsettled lists the jobs not yet done or failed.
+func (t *jobTable) unsettled() []*job {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var out []*job
+	for _, j := range t.byID {
+		select {
+		case <-j.done:
+		default:
+			out = append(out, j)
+		}
+	}
+	return out
+}
+
 // jobRequest is the body of POST /v1/jobs: a simulation request plus the
 // endpoint mode it should run as.
 type jobRequest struct {
@@ -195,85 +202,44 @@ type jobRequest struct {
 	simRequest
 }
 
-// handleJobSubmit serves POST /v1/jobs: validate, journal, acknowledge.
+// handleJobSubmit serves POST /v1/jobs: the sync path's submit, then a
+// journal entry fsynced before the 202.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.writeError(w, &httpError{status: http.StatusServiceUnavailable, code: CodeDraining,
 			msg: "server is draining; resubmit to a live replica"})
 		return
 	}
-	var req jobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, badRequest("decoding request: %v", err))
-		return
-	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "run"
-	}
-	if mode != "run" && mode != "replicate" {
-		s.writeError(w, badRequest(`unknown mode %q ("run" or "replicate")`, mode))
-		return
-	}
-	sp, err := s.resolveSpec(req.simRequest)
+	call, err := s.parse(r, "")
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	var seeds []int64
-	if mode == "run" {
-		seeds = []int64{req.Seed}
-	} else if seeds, err = resolveSeeds(req.simRequest); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	canon, err := scenario.Canonical(sp)
-	if err != nil {
-		s.writeError(w, badRequest("%v", err))
-		return
-	}
-	if err := checkShards(sp, req.Shards); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	key := resultKey(s.cfg.Version, mode, canon, seeds...)
 	idem := r.Header.Get("Idempotency-Key")
-
-	if dup, ok := s.jobs.lookupDup(idem, key); ok {
+	if dup, ok := s.jobs.lookupDup(idem, call.Key); ok {
 		s.writeAccepted(w, dup)
 		return
 	}
-
-	j := &job{
-		id:   s.jobs.nextID(),
-		mode: mode,
-		key:  key,
-		idem: idem,
-		done: make(chan struct{}),
+	_, _, c, err := s.submit(&call, false)
+	if err != nil {
+		s.writeError(w, err)
+		return
 	}
-	if mode == "run" {
-		j.compute = computeRun(sp, seeds[0], req.Shards, key)
-	} else {
-		j.compute = computeReplicate(sp, seeds, req.Shards, key)
-	}
-	j.state = JobPending
+	j := &job{id: s.jobs.nextID(), key: call.Key, idem: idem, comp: c, state: JobPending, done: make(chan struct{})}
 	if s.journal != nil {
-		entry := store.JobEntry{
-			ID: j.id, Op: store.OpSubmit, Mode: mode, Key: key,
-			Spec: canon, Seeds: seeds, Shards: req.Shards, Idem: idem,
-		}
+		entry := call.JobEntry
+		entry.ID, entry.Op, entry.Idem = j.id, store.OpSubmit, idem
 		if err := s.journal.Append(entry); err != nil {
 			// No durable promise can be made; refuse rather than acknowledge
 			// something a crash would forget.
+			if c != nil {
+				s.leave(c)
+			}
 			s.writeError(w, fmt.Errorf("journaling job: %w", err))
 			return
 		}
 	}
-	s.jobs.register(j)
 	s.stats.jobsSubmitted.Add(1)
-	s.stats.jobsActive.Add(1)
 	s.startJob(j)
 	s.writeAccepted(w, j)
 }
@@ -288,83 +254,51 @@ func (s *Server) writeAccepted(w http.ResponseWriter, j *job) {
 	w.Write(body)
 }
 
-// startJob launches the job's executor goroutine under the server's
-// wait-group (Drain waits for it, Close cancels it).
+// startJob registers j and starts its waiter on a server goroutine.
 func (s *Server) startJob(j *job) {
-	s.jobWG.Add(1)
-	go func() {
-		defer s.jobWG.Done()
-		s.runJob(j)
-	}()
+	s.jobs.register(j)
+	s.stats.jobsActive.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ctx.Err() == nil { // once Close has begun, j stays incomplete in the journal
+		s.wg.Add(1)
+		go s.awaitJob(j)
+	}
 }
 
-// runJob executes one job to a terminal state. The path mirrors deliver's:
-// store tiers first (a job for already-computed work completes instantly),
-// then a worker slot, then the guarded compute with the progress hook
-// installed; the result is written through both tiers and the terminal
-// outcome journaled. A job cancelled by server shutdown journals NOTHING
-// terminal — the restarted server replays it — while a job that fails on its
-// own (panic, invalid dynamics, timeout) journals OpFail: determinism makes
-// such failures permanent, so replaying them would be wasted work.
-func (s *Server) runJob(j *job) {
-	if body, ok := s.cache.get(j.key); ok {
-		s.finishJob(j, body, true)
-		return
-	}
-	if body, ok := s.diskGet(j.key); ok {
-		s.cache.put(j.key, body)
-		s.finishJob(j, body, true)
-		return
-	}
-	select {
-	case s.work <- struct{}{}:
-	case <-s.jobCtx.Done():
-		return // shutdown before start: stays incomplete in the journal
-	}
-	defer func() { <-s.work }()
-
-	j.setState(JobRunning)
-	ctx, cancel := context.WithTimeout(s.jobCtx, s.cfg.JobTimeout)
-	defer cancel()
-	ctx = node.WithProgress(ctx, func(now, horizon float64) {
-		j.mu.Lock()
-		if frac := now / horizon; frac > j.progress {
-			j.progress = frac
-		}
-		j.mu.Unlock()
-	})
-	body, err := computeGuarded(ctx, j.compute)
-	if err != nil {
-		if s.jobCtx.Err() != nil {
-			// Shutdown took the job down, not the job itself: leave the journal
-			// entry incomplete so the restarted server re-executes it.
+// awaitJob carries one job to a terminal state. A job whose body was already
+// stored completes at once; any other waits on its computation until
+// JobTimeout or shutdown. A job cancelled by server shutdown journals
+// NOTHING terminal — the restarted server replays it — while a job that
+// fails on its own (panic, invalid dynamics, timeout) journals OpFail:
+// determinism makes such failures permanent, so replaying them would be
+// wasted work.
+func (s *Server) awaitJob(j *job) {
+	defer s.wg.Done()
+	if c := j.comp; c != nil { // only end, below, clears comp
+		ctx, cancel := context.WithTimeout(s.ctx, s.cfg.JobTimeout)
+		_, err := s.wait(ctx, c)
+		cancel()
+		if err != nil {
+			if s.ctx.Err() != nil {
+				return
+			}
+			code := CodeInternal
+			var he *httpError
+			switch {
+			case errors.As(err, &he):
+				code = he.code
+			case errors.Is(err, context.DeadlineExceeded):
+				code = CodeDeadline
+			}
+			s.failJob(j, code, err.Error())
 			return
 		}
-		code := CodeInternal
-		var he *httpError
-		switch {
-		case errors.As(err, &he):
-			code = he.code
-		case errors.Is(err, context.DeadlineExceeded):
-			code = CodeDeadline
-		}
-		s.failJob(j, code, err.Error())
-		return
-	}
-	s.persist(j.key, body)
-	s.finishJob(j, body, false)
-}
-
-// finishJob moves a job to done: result persisted (instant completions pass
-// preStored), journal terminal entry appended, indexes settled.
-func (s *Server) finishJob(j *job, body []byte, preStored bool) {
-	if preStored {
-		s.cache.put(j.key, body)
 	}
 	if s.journal != nil {
 		s.journal.Append(store.JobEntry{ID: j.id, Op: store.OpDone, Key: j.key})
 	}
-	j.setState(JobDone)
+	j.end(JobDone, "", "")
 	s.jobs.settle(j)
 	s.stats.jobsCompleted.Add(1)
 	s.stats.jobsActive.Add(-1)
@@ -375,7 +309,7 @@ func (s *Server) failJob(j *job, code, msg string) {
 	if s.journal != nil {
 		s.journal.Append(store.JobEntry{ID: j.id, Op: store.OpFail, Key: j.key, Error: msg})
 	}
-	j.fail(code, msg)
+	j.end(JobFailed, code, msg)
 	s.jobs.settle(j)
 	s.stats.jobsFailed.Add(1)
 	s.stats.jobsActive.Add(-1)
@@ -459,13 +393,8 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			msg: fmt.Sprintf("job %s is %s; poll GET /v1/jobs/%s", st.ID, st.State, st.ID)})
 		return
 	}
-	body, ok := s.cache.get(j.key)
-	if !ok {
-		if body, ok = s.diskGet(j.key); ok {
-			s.cache.put(j.key, body)
-		}
-	}
-	if !ok {
+	body, tier := s.stored(j.key)
+	if tier == "" {
 		// Memory-only server whose LRU evicted the body: the promise is gone
 		// with the process's memory. Resubmitting recomputes it.
 		s.writeError(w, notFound("result for job %s evicted; resubmit the job", st.ID))
@@ -505,26 +434,18 @@ func (s *Server) replayJobs(entries []store.JobEntry) {
 	}
 	for id, term := range terminal {
 		sub := submits[id]
-		j := &job{id: id, mode: sub.Mode, key: sub.Key, idem: sub.Idem, done: make(chan struct{})}
+		j := &job{id: id, key: sub.Key, idem: sub.Idem, done: make(chan struct{})}
+		s.jobs.register(j)
 		if term.Op == store.OpDone {
-			j.state = JobDone
-			j.progress = 1
+			j.end(JobDone, "", "")
 		} else {
-			j.state = JobFailed
-			j.errMsg = term.Error
-			j.errCode = CodeJobFailed
+			j.end(JobFailed, CodeJobFailed, term.Error)
 		}
-		close(j.done)
-		s.jobs.mu.Lock()
-		s.jobs.byID[id] = j
-		if j.idem != "" {
-			s.jobs.byIdem[j.idem] = id
-		}
-		s.jobs.mu.Unlock()
+		s.jobs.settle(j)
 	}
 
 	for _, e := range pending {
-		j := &job{id: e.ID, mode: e.Mode, key: e.Key, idem: e.Idem, done: make(chan struct{}), state: JobPending}
+		j := &job{id: e.ID, key: e.Key, idem: e.Idem, state: JobPending, done: make(chan struct{})}
 		sp, err := scenario.Decode(e.Spec)
 		if err != nil {
 			// A journaled spec that no longer decodes means the schema moved
@@ -534,17 +455,8 @@ func (s *Server) replayJobs(entries []store.JobEntry) {
 			s.failJob(j, CodeBadRequest, fmt.Sprintf("replayed spec no longer decodes: %v", err))
 			continue
 		}
-		if e.Mode == "replicate" {
-			j.compute = computeReplicate(sp, e.Seeds, e.Shards, e.Key)
-		} else {
-			seed := int64(0)
-			if len(e.Seeds) > 0 {
-				seed = e.Seeds[0]
-			}
-			j.compute = computeRun(sp, seed, e.Shards, e.Key)
-		}
-		s.jobs.register(j)
-		s.stats.jobsActive.Add(1)
+		// Forced past the admission bound, submit cannot fail before Close.
+		_, _, j.comp, _ = s.submit(&simCall{JobEntry: e, sp: sp}, true)
 		s.stats.jobsReplayed.Add(1)
 		s.startJob(j)
 	}

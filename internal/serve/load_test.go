@@ -17,12 +17,12 @@ import (
 //
 //  1. every response for a key is byte-identical, cached or computed;
 //  2. simulations executed == distinct keys (content addressing plus
-//     singleflight collapse absorb every duplicate);
+//     the in-flight index absorb every duplicate);
 //  3. nothing is dropped: with admission sized to the distinct-key working
 //     set, every request succeeds.
 //
-// Run it under -race: the cache, flight group and counters are all exercised
-// from many goroutines here.
+// Run it under -race: the cache, in-flight index and counters are all
+// exercised from many goroutines here.
 func TestServeLoadMixed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short")
@@ -34,7 +34,8 @@ func TestServeLoadMixed(t *testing.T) {
 	)
 	distinct := distinctRuns + replicates
 	// Admission must cover the distinct working set (duplicates never enter
-	// admission: they collapse onto flights or hit the cache), so no 429s.
+	// admission: they join in-flight computations or hit the cache), so no
+	// 429s.
 	s, ts := testServer(t, Config{Workers: 4, QueueDepth: distinct})
 
 	requests := make([]struct{ path, body string }, clients)

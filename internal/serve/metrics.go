@@ -13,8 +13,8 @@ type serverStats struct {
 	requests    atomic.Uint64 // simulation-endpoint requests accepted for processing
 	cacheHits   atomic.Uint64 // requests served from the result store
 	cacheMisses atomic.Uint64 // requests that had to simulate
-	collapsed   atomic.Uint64 // requests that shared another request's in-flight simulation
-	simulations atomic.Uint64 // distinct simulations actually executed
+	collapsed   atomic.Uint64 // requests and jobs that joined an in-flight computation
+	simulations atomic.Uint64 // computations that got a worker slot, sync or async
 	rejected    atomic.Uint64 // 429s issued under saturation
 	deadlined   atomic.Uint64 // requests lost to their deadline or disconnect
 	errored     atomic.Uint64 // 4xx/5xx other than the above
@@ -30,7 +30,8 @@ type serverStats struct {
 	jobsActive    atomic.Int64  // jobs pending or running right now (gauge)
 	jobsReplayed  atomic.Uint64 // incomplete jobs re-executed at startup
 
-	lat latencyWindow
+	lat     latencyWindow // request latencies, cache hits included (p50Ms/p99Ms)
+	compute latencyWindow // simulation wall times, for the Retry-After estimate
 }
 
 // Stats is the JSON shape of GET /v1/stats.
@@ -105,9 +106,9 @@ func (s *serverStats) snapshot() Stats {
 // computed over; at high traffic the window simply reflects recent requests.
 const latencyWindowSize = 4096
 
-// latencyWindow is a fixed-size ring of recent request latencies in
-// milliseconds. Quantiles are computed on demand — /v1/stats is not a hot
-// path — over a copy, so recording never blocks behind a sort.
+// latencyWindow is a fixed-size ring of recent latencies in milliseconds.
+// Quantiles are computed on demand — /v1/stats is not a hot path — over a
+// copy, so recording never blocks behind a sort.
 type latencyWindow struct {
 	mu   sync.Mutex
 	ring [latencyWindowSize]float64

@@ -122,18 +122,19 @@ func TestServeLoadPanicRecovery(t *testing.T) {
 }
 
 // TestRetryAfterEstimate pins the saturation Retry-After estimate: with no
-// latency history it falls back to the 1 s floor, and with recorded
-// latencies it scales with the work admitted ahead of the retrying client.
+// compute history it falls back to the 1 s floor, with recorded compute
+// times it scales with the work admitted ahead of the retrying client, and
+// cache hits in the request-latency window do not drag it down.
 func TestRetryAfterEstimate(t *testing.T) {
 	s := mustNew(t, Config{Workers: 2, QueueDepth: 8, Version: "test"})
 	if got := s.retryAfterSeconds(); got != 1 {
 		t.Fatalf("cold server Retry-After = %d, want the 1 s floor", got)
 	}
 
-	// Median latency 2000 ms across 2 workers with 6 simulations ahead:
+	// Median compute 2000 ms across 2 workers with 6 simulations ahead:
 	// ceil(2 × (6/2 + 1)) = 8 s.
 	for i := 0; i < 8; i++ {
-		s.stats.lat.record(2000)
+		s.stats.compute.record(2000)
 	}
 	s.stats.queued.Store(4)
 	s.stats.inFlight.Store(2)
@@ -141,10 +142,25 @@ func TestRetryAfterEstimate(t *testing.T) {
 		t.Fatalf("Retry-After = %d, want 8 (p50 2 s, 6 ahead, 2 workers)", got)
 	}
 
+	// A hit-heavy mix: 55% of the request-latency window is microsecond
+	// cache hits, so its median is a hit, but the ten 2 s simulations ahead
+	// on 2 workers still need ceil(2 × (10/2 + 1)) = 12 s.
+	for i := 0; i < 100; i++ {
+		if i < 55 {
+			s.stats.lat.record(0.05)
+		} else {
+			s.stats.lat.record(2000)
+		}
+	}
+	s.stats.queued.Store(8)
+	if got := s.retryAfterSeconds(); got != 12 {
+		t.Fatalf("hit-heavy Retry-After = %d, want 12 (p50 compute 2 s, 10 ahead, 2 workers)", got)
+	}
+
 	// Fast simulations round up to the floor, never to zero.
 	s2 := mustNew(t, Config{Workers: 4, Version: "test"})
 	for i := 0; i < 8; i++ {
-		s2.stats.lat.record(10)
+		s2.stats.compute.record(10)
 	}
 	if got := s2.retryAfterSeconds(); got != 1 {
 		t.Fatalf("fast-path Retry-After = %d, want the 1 s floor", got)

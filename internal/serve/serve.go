@@ -8,6 +8,7 @@
 //
 //	POST /v1/runs       one (spec, seed) simulation → headline report
 //	POST /v1/replicate  one spec × a seed list → aggregate with CIs
+//	POST /v1/jobs       either of the above, asynchronously → 202 + job id
 //	GET  /v1/scenarios  the registry, sorted by name, with content hashes
 //	GET  /v1/stats      cache hit rate, queue depth, p50/p99 latency, ...
 //	GET  /v1/healthz    liveness probe
@@ -16,11 +17,15 @@
 // spec JSON, seed list) — scenario.Canonical materializes defaults and
 // sorts keys, so every spelling of the same workload shares one cache line,
 // and the code-version component keeps results from one build from leaking
-// into the next. Concurrent identical requests collapse onto one simulation
-// via singleflight; distinct requests are admitted up to Workers running
-// plus QueueDepth waiting and rejected with 429 beyond that (backpressure,
-// not unbounded queueing). Every simulating request runs under a deadline
-// and stops mid-kernel when it expires (504).
+// into the next. Every simulation request, sync or async, takes one path
+// (engine.go): content key, memory tier, disk tier, the by-key index of
+// in-flight computations, admission, guarded compute, persist. Concurrent
+// requests for one key share one computation, which runs until its last
+// waiter leaves. Only a new computation takes an admission slot — Workers
+// running plus QueueDepth waiting — and a request needing one beyond that is
+// rejected with 429 (backpressure, not unbounded queueing). A sync request
+// waits under its deadline (504 on expiry); a job is the same submit with a
+// journal entry fsynced before its 202.
 package serve
 
 import (
@@ -31,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"path/filepath"
@@ -74,9 +78,10 @@ type Config struct {
 	// results. Empty keeps the historical memory-only server (jobs still
 	// work, but don't survive the process).
 	StoreDir string
-	// JobTimeout caps one async job's execution (0 = 10 min). Async jobs are
-	// for runs too long for the synchronous deadline discipline, so this is
-	// deliberately far above MaxTimeout.
+	// JobTimeout caps how long one async job waits for its result, from
+	// submission (0 = 10 min). Async jobs are for runs too long for the
+	// synchronous deadline discipline, so this is deliberately far above
+	// MaxTimeout.
 	JobTimeout time.Duration
 }
 
@@ -131,14 +136,20 @@ func CodeVersion() string {
 // LRU over an optional durable disk store) and a journaled async-jobs
 // subsystem. Construct with New; the zero value is not usable.
 type Server struct {
-	cfg    Config
-	mux    *http.ServeMux
-	admit  chan struct{} // admission: Workers + QueueDepth slots
-	work   chan struct{} // execution: Workers slots
-	cache  *resultCache
-	flight flightGroup
-	stats  serverStats
-	start  time.Time
+	cfg   Config
+	mux   *http.ServeMux
+	work  chan struct{} // execution: Workers slots
+	cache *resultCache
+	stats serverStats
+	start time.Time
+
+	// The engine's in-flight state (engine.go).
+	mu       sync.Mutex
+	inflight map[string]*computation // result key → live computation
+	admitted int                     // computations holding an admission slot
+	ctx      context.Context         // parent of every computation and job wait
+	stop     context.CancelFunc      // called by Close, under mu
+	wg       sync.WaitGroup          // computation and job goroutines
 
 	// Durability tier (nil/zero without StoreDir).
 	disk    *store.Store
@@ -146,9 +157,6 @@ type Server struct {
 
 	// Async jobs.
 	jobs      jobTable
-	jobWG     sync.WaitGroup
-	jobCtx    context.Context // parent of every job execution
-	jobStop   context.CancelFunc
 	draining  atomic.Bool
 	drainCh   chan struct{} // closed when draining starts (ends status streams)
 	drainOnce sync.Once
@@ -162,18 +170,18 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		admit:   make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-		work:    make(chan struct{}, cfg.Workers),
-		cache:   newResultCache(cfg.CacheEntries),
-		start:   time.Now(),
-		drainCh: make(chan struct{}),
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		work:     make(chan struct{}, cfg.Workers),
+		cache:    newResultCache(cfg.CacheEntries),
+		start:    time.Now(),
+		inflight: make(map[string]*computation),
+		drainCh:  make(chan struct{}),
 	}
-	s.jobCtx, s.jobStop = context.WithCancel(context.Background())
+	s.ctx, s.stop = context.WithCancel(context.Background())
 	s.jobs.init()
-	s.mux.HandleFunc("POST /v1/runs", s.handleRun)
-	s.mux.HandleFunc("POST /v1/replicate", s.handleReplicate)
+	s.mux.HandleFunc("POST /v1/runs", s.handleSim("run"))
+	s.mux.HandleFunc("POST /v1/replicate", s.handleSim("replicate"))
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
@@ -206,15 +214,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.drainOnce.Do(func() { close(s.drainCh) })
-	done := make(chan struct{})
-	go func() {
-		s.jobWG.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
+	for _, j := range s.jobs.unsettled() {
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	if s.disk != nil {
 		if err := s.disk.Sync(); err != nil {
@@ -229,15 +234,18 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Close releases the server's background resources: running jobs are
-// cancelled (their journal entries stay incomplete, so a reopened server
-// re-executes them), and the journal handle closes. Tests and embedders
-// should defer it; cmd/passerve prefers Drain first for a clean exit.
+// Close releases the server's background resources: every computation is
+// cancelled and waited for, running jobs with them (their journal entries
+// stay incomplete, so a reopened server re-executes them), and the journal
+// handle closes. Tests and embedders should defer it; cmd/passerve prefers
+// Drain first for a clean exit.
 func (s *Server) Close() error {
 	s.draining.Store(true)
 	s.drainOnce.Do(func() { close(s.drainCh) })
-	s.jobStop()
-	s.jobWG.Wait()
+	s.mu.Lock()
+	s.stop() // under mu: no goroutine starts after this (see submit, startJob)
+	s.mu.Unlock()
+	s.wg.Wait()
 	if s.journal != nil {
 		return s.journal.Close()
 	}
@@ -302,6 +310,9 @@ const (
 
 // errSaturated reports that the bounded queue was full; it maps to 429.
 var errSaturated = errors.New("serve: saturated: all workers busy and queue full")
+
+// errClosed refuses work that arrives after Close has begun.
+var errClosed = &httpError{status: http.StatusServiceUnavailable, code: CodeDraining, msg: "server is shutting down"}
 
 // httpError is a JSON error with a status and a stable machine-readable code.
 type httpError struct {
@@ -398,136 +409,15 @@ func (s *Server) timeout(req simRequest) time.Duration {
 // requests share a key iff determinism guarantees they share a byte-
 // identical response body.
 func resultKey(version, mode string, canon []byte, seeds ...int64) string {
-	h := sha256.New()
-	io.WriteString(h, version)
-	h.Write([]byte{0})
-	io.WriteString(h, mode)
-	h.Write([]byte{0})
-	h.Write(canon)
-	h.Write([]byte{0})
-	var buf [8]byte
+	buf := make([]byte, 0, len(version)+len(mode)+len(canon)+3+8*len(seeds))
+	buf = append(append(buf, version...), 0)
+	buf = append(append(buf, mode...), 0)
+	buf = append(append(buf, canon...), 0)
 	for _, seed := range seeds {
-		binary.LittleEndian.PutUint64(buf[:], uint64(seed))
-		h.Write(buf[:])
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(seed))
 	}
-	return hex.EncodeToString(h.Sum(nil))
-}
-
-// deliver serves one simulation-backed request: memory-tier lookup, then
-// disk-tier lookup (promoting hits into the LRU), then singleflight-collapsed
-// compute under admission control and the request deadline. compute must be a
-// pure function of key — it runs at most once per key across all concurrent
-// callers, and its result is written through to both tiers.
-func (s *Server) deliver(w http.ResponseWriter, r *http.Request, d time.Duration, key string, compute func(ctx context.Context) ([]byte, error)) {
-	s.stats.requests.Add(1)
-	start := time.Now()
-	if body, ok := s.cache.get(key); ok {
-		s.stats.cacheHits.Add(1)
-		s.writeBody(w, start, key, body, "hit-mem")
-		return
-	}
-	if body, ok := s.diskGet(key); ok {
-		s.stats.cacheHits.Add(1)
-		s.stats.diskHits.Add(1)
-		s.cache.put(key, body)
-		s.writeBody(w, start, key, body, "hit-disk")
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-	body, collapsed, err := s.flight.do(ctx, key, func() ([]byte, error) {
-		// Re-check under the flight: a previous flight for this key may have
-		// completed (and cached) between our cache miss and becoming leader.
-		// This re-check is what makes "simulations executed == distinct
-		// keys" exact rather than approximate.
-		if body, ok := s.cache.get(key); ok {
-			return body, nil
-		}
-		if body, ok := s.diskGet(key); ok {
-			s.cache.put(key, body)
-			return body, nil
-		}
-		body, err := s.admitAndCompute(ctx, compute)
-		if err != nil {
-			return nil, err
-		}
-		s.persist(key, body)
-		return body, nil
-	})
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	if collapsed {
-		s.stats.collapsed.Add(1)
-	}
-	s.stats.cacheMisses.Add(1)
-	s.writeBody(w, start, key, body, "miss")
-}
-
-// diskGet consults the durable tier, when one is configured.
-func (s *Server) diskGet(key string) ([]byte, bool) {
-	if s.disk == nil {
-		return nil, false
-	}
-	return s.disk.Get(key)
-}
-
-// persist writes a freshly computed body through both store tiers. A disk
-// write failure demotes the result to memory-only — the response is still
-// correct (determinism lets a future process recompute it), so the request
-// must not fail over durability bookkeeping; the failure is counted instead.
-func (s *Server) persist(key string, body []byte) {
-	s.cache.put(key, body)
-	if s.disk != nil {
-		if err := s.disk.Put(key, body); err != nil {
-			s.stats.storeErrors.Add(1)
-		}
-	}
-}
-
-// admitAndCompute applies backpressure around one simulation: a free slot in
-// the bounded admission queue or an immediate errSaturated, then a worker
-// slot (waiting under ctx), then the computation itself.
-func (s *Server) admitAndCompute(ctx context.Context, compute func(ctx context.Context) ([]byte, error)) ([]byte, error) {
-	select {
-	case s.admit <- struct{}{}:
-	default:
-		return nil, errSaturated
-	}
-	defer func() { <-s.admit }()
-
-	s.stats.queued.Add(1)
-	select {
-	case s.work <- struct{}{}:
-	case <-ctx.Done():
-		s.stats.queued.Add(-1)
-		return nil, ctx.Err()
-	}
-	s.stats.queued.Add(-1)
-	defer func() { <-s.work }()
-
-	s.stats.inFlight.Add(1)
-	defer s.stats.inFlight.Add(-1)
-	s.stats.simulations.Add(1)
-	return computeGuarded(ctx, compute)
-}
-
-// computeGuarded runs one simulation computation with a panic barrier: a
-// spec that passes validation but panics deep in the harness (an infeasible
-// poisson deployment saturating its candidate budget, a stimulus-model bug)
-// becomes a plain 500 on that request instead of killing the daemon — and,
-// because the panic surfaces as an error, the singleflight leader unblocks
-// its followers and nothing wedges. The offending key is never cached, so
-// the panic message stays reproducible.
-func computeGuarded(ctx context.Context, compute func(ctx context.Context) ([]byte, error)) (body []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &httpError{status: http.StatusInternalServerError, code: CodePanic,
-				msg: fmt.Sprintf("simulation panicked: %v", r)}
-		}
-	}()
-	return compute(ctx)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // writeBody emits a stored/fresh result body verbatim. The cache disposition
@@ -578,27 +468,17 @@ type errorBody struct {
 
 // retryAfterSeconds estimates how long a 429'd client should wait before
 // retrying: the simulations already admitted (queued plus in flight) drain
-// across the worker pool at roughly the observed median latency, plus one
-// median-latency slot for the retry itself. Floored at the historical 1 s
-// constant, which also covers a cold server with no latency history.
+// across the worker pool at roughly the median compute time, plus one
+// median compute for the retry itself. The request-latency window would not
+// do: its cache hits take microseconds and drag the median toward zero.
+// Floored at the historical 1 s constant, which also covers a cold server
+// with no compute history.
 func (s *Server) retryAfterSeconds() int {
-	p50, _ := s.stats.lat.quantiles(0.50, 0.99)
+	p50, _ := s.stats.compute.quantiles(0.50, 0.99)
 	ahead := s.stats.queued.Load() + s.stats.inFlight.Load()
 	secs := int(math.Ceil(p50 / 1000 * (float64(ahead)/float64(s.cfg.Workers) + 1)))
 	if secs < 1 {
 		secs = 1
 	}
 	return secs
-}
-
-// decodeRequest parses a simulation request body, rejecting unknown fields
-// so typos fail loudly (matching the scenario codec's discipline).
-func decodeRequest(r *http.Request) (simRequest, error) {
-	var req simRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, badRequest("decoding request: %v", err)
-	}
-	return req, nil
 }

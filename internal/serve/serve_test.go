@@ -2,9 +2,7 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -347,19 +345,14 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	}
 }
 
-// TestSaturationMapsTo429 saturates the bounded queue directly (the admission
-// channel is capacity Workers+QueueDepth) and verifies a request needing a
+// TestSaturationMapsTo429 saturates the bounded queue directly (all
+// Workers+QueueDepth admission slots taken) and verifies a request needing a
 // simulation is rejected up front with 429 + Retry-After.
 func TestSaturationMapsTo429(t *testing.T) {
 	s, ts := testServer(t, Config{Workers: 1, QueueDepth: 1})
-	for i := 0; i < cap(s.admit); i++ {
-		s.admit <- struct{}{}
-	}
-	defer func() {
-		for i := 0; i < cap(s.admit); i++ {
-			<-s.admit
-		}
-	}()
+	s.mu.Lock()
+	s.admitted = s.cfg.Workers + s.cfg.QueueDepth
+	s.mu.Unlock()
 	resp, body := post(t, ts.URL, "/v1/runs", `{"name":"paper","seed":42}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 (%s)", resp.StatusCode, body)
@@ -436,76 +429,6 @@ func TestResultCacheLRU(t *testing.T) {
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
-}
-
-func TestFlightGroupCollapse(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	started := make(chan struct{})
-	var calls int
-	type out struct {
-		body      []byte
-		collapsed bool
-		err       error
-	}
-	results := make(chan out, 2)
-	go func() {
-		body, collapsed, err := g.do(context.Background(), "k", func() ([]byte, error) {
-			calls++
-			close(started)
-			<-release
-			return []byte("V"), nil
-		})
-		results <- out{body, collapsed, err}
-	}()
-	<-started
-	go func() {
-		body, collapsed, err := g.do(context.Background(), "k", func() ([]byte, error) {
-			calls++
-			return []byte("V"), nil
-		})
-		results <- out{body, collapsed, err}
-	}()
-	time.Sleep(10 * time.Millisecond) // let the follower join the flight
-	close(release)
-	var collapsedSeen int
-	for i := 0; i < 2; i++ {
-		r := <-results
-		if r.err != nil || string(r.body) != "V" {
-			t.Fatalf("result = %+v", r)
-		}
-		if r.collapsed {
-			collapsedSeen++
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("fn ran %d times, want 1", calls)
-	}
-	if collapsedSeen != 1 {
-		t.Fatalf("collapsed count = %d, want 1 (one leader, one follower)", collapsedSeen)
-	}
-}
-
-func TestFlightGroupFollowerCtxDeath(t *testing.T) {
-	var g flightGroup
-	release := make(chan struct{})
-	started := make(chan struct{})
-	go g.do(context.Background(), "k", func() ([]byte, error) {
-		close(started)
-		<-release
-		return []byte("V"), nil
-	})
-	<-started
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, collapsed, err := g.do(ctx, "k", func() ([]byte, error) {
-		t.Fatal("follower must not run fn")
-		return nil, nil
-	})
-	if !collapsed || !errors.Is(err, context.Canceled) {
-		t.Fatalf("collapsed=%v err=%v, want collapsed canceled", collapsed, err)
-	}
-	close(release)
 }
 
 func TestLatencyWindowQuantiles(t *testing.T) {

@@ -77,9 +77,12 @@
 // registry name, inline spec, defaults spelled out — shares one cache line.
 // CanonicalScenario produces that canonical encoding (sorted keys, defaults
 // materialized, kind-irrelevant fields zeroed) and ScenarioHash its content
-// hash. Concurrent identical requests collapse onto one in-flight simulation
-// (singleflight); distinct requests queue up to a bounded depth and are
-// rejected with 429 beyond it; every request runs under a deadline (504 on
+// hash. Sync requests and async jobs take one execution path: a store
+// lookup, then a by-key index of in-flight computations, so concurrent
+// requests for one key — sync or async — share one simulation, which runs
+// until its last waiter leaves. Only a new computation takes one of the
+// bounded admission slots, and a request or job needing one beyond them is
+// rejected with 429; a sync request waits under its deadline (504 on
 // expiry). Every 4xx/5xx body is {"code","error"} with a small stable code
 // vocabulary (bad_request, not_found, saturated, deadline, panic, internal,
 // not_ready, job_failed, draining) so callers branch on codes, never on
