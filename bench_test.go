@@ -493,10 +493,10 @@ func BenchmarkScale100k(b *testing.B) {
 }
 
 // BenchmarkScale100kSerial is the 1-shard comparison point for
-// BenchmarkScale100k: the same workload through the sharded build and window
-// loop with no parallelism. The gap between the two is the speedup; the gap
-// against a plain serial run is the windowing overhead. Deliberately not in
-// the benchcheck baseline — it exists for the ratio, not for drift tracking.
+// BenchmarkScale100k: the same workload on one kernel, which is serial
+// execution (no goroutine, no barrier). The gap between the two is the
+// speedup. Deliberately not in the benchcheck baseline — it exists for the
+// ratio, not for drift tracking.
 func BenchmarkScale100kSerial(b *testing.B) {
 	benchScale100k(b, 1)
 }
@@ -573,9 +573,9 @@ func BenchmarkSASSingleRun(b *testing.B) {
 }
 
 func BenchmarkEstimatorMinETA(b *testing.B) {
-	reports := make([]core.NeighborReport, 12)
+	reports := make([]predict.Report, 12)
 	for i := range reports {
-		reports[i] = core.NeighborReport{
+		reports[i] = predict.Report{
 			ID:  pas.NodeID(i),
 			Pos: geom.V(float64(i), float64(i%3)),
 			State: func() node.State {
@@ -592,7 +592,7 @@ func BenchmarkEstimatorMinETA(b *testing.B) {
 	x := geom.V(20, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MinETA(x, 30, reports, 45)
+		predict.MinETA(x, 30, reports, 45)
 	}
 }
 
@@ -601,9 +601,9 @@ func BenchmarkEstimatorMinETA(b *testing.B) {
 // cost a PAS agent pays for its prediction subsystem. The acceptance bar is
 // 0 allocs/op: the filters run on fixed-size in-struct state.
 func BenchmarkPredictorStep(b *testing.B) {
-	reports := make([]core.NeighborReport, 4)
+	reports := make([]predict.Report, 4)
 	for i := range reports {
-		reports[i] = core.NeighborReport{
+		reports[i] = predict.Report{
 			ID:  pas.NodeID(i),
 			Pos: geom.V(float64(i), float64(i%3)),
 			State: func() node.State {

@@ -74,7 +74,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.Float64Var(&c.thresh, "threshold", 20, "PAS alert-time threshold (s)")
 	fs.Float64Var(&c.lossProb, "loss", 0, "packet loss probability (0 = the scenario's channel)")
 	fs.Float64Var(&c.failFrac, "fail", 0, "fraction of nodes to fail at random times")
-	fs.IntVar(&c.shards, "shards", 0, "run on that many spatially sharded kernels (0 = serial); output is bit-identical to serial")
+	fs.IntVar(&c.shards, "shards", 0, "run on that many spatially sharded kernels (0 or 1 = one kernel); output is bit-identical at any count")
 	fs.StringVar(&c.predictor, "predictor", "", "PAS arrival predictor: paper, lms, ewma, ar, kalman, switching (default: the scenario's)")
 	fs.BoolVar(&c.table, "table", false, "print the per-node table")
 	err := fs.Parse(args)

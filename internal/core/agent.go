@@ -32,8 +32,8 @@ import (
 type Agent struct {
 	cfg      Config
 	n        *node.Node // bound at Init; the arg handlers below reach it here
-	reports  map[radio.NodeID]NeighborReport
-	scratch  []NeighborReport // reused snapshot buffer for the estimators
+	reports  map[radio.NodeID]predict.Report
+	scratch  []predict.Report // reused snapshot buffer for the estimators
 	schedule SleepSchedule
 
 	// model is the pluggable prediction subsystem, embedded by value so
@@ -71,7 +71,7 @@ func New(cfg Config) *Agent {
 func (a *Agent) fill(cfg Config) {
 	*a = Agent{
 		cfg:      cfg,
-		reports:  make(map[radio.NodeID]NeighborReport),
+		reports:  make(map[radio.NodeID]predict.Report),
 		schedule: MakeSleepSchedule(cfg.SleepInit, cfg.SleepIncrement, cfg.SleepMax),
 	}
 	a.model.Init(cfg.Predictor, predict.EstimatorConfig{
@@ -131,7 +131,7 @@ func agentReassess(_ *sim.Kernel, arg any) {
 func agentVelocityWindow(_ *sim.Kernel, arg any) {
 	a := arg.(*Agent)
 	n := a.n
-	v, ok := ActualVelocity(n.Pos(), a.detectedAt, a.reportSlice(), a.cfg.MinVelocityDt)
+	v, ok := predict.ActualVelocity(n.Pos(), a.detectedAt, a.reportSlice(), a.cfg.MinVelocityDt)
 	if ok {
 		a.model.SetVelocity(v)
 	}
@@ -371,6 +371,22 @@ func (a *Agent) handleResponse(n *node.Node, from radio.NodeID, m Response) {
 	}
 }
 
+// reportFromResponse converts a wire response into a stored report.
+func reportFromResponse(from radio.NodeID, r Response, now float64) predict.Report {
+	return predict.Report{
+		ID:               from,
+		Pos:              r.Pos,
+		State:            r.State,
+		Velocity:         r.Velocity,
+		HasVelocity:      r.HasVelocity,
+		HasDirection:     r.HasDirection,
+		PredictedArrival: r.PredictedArrival,
+		DetectedAt:       r.DetectedAt,
+		Detected:         r.Detected,
+		ReceivedAt:       now,
+	}
+}
+
 // refreshEstimate delegates one prediction refresh to the plugged predictor
 // and returns the expected arrival in seconds from now.
 func (a *Agent) refreshEstimate(n *node.Node) float64 {
@@ -400,16 +416,16 @@ func (a *Agent) sendResponse(n *node.Node) {
 // reportSlice snapshots the report table in deterministic (ID) order. The
 // backing buffer is reused across calls — the estimators it feeds only read
 // the slice during the call, so this is allocation-free at steady state.
-func (a *Agent) reportSlice() []NeighborReport {
+func (a *Agent) reportSlice() []predict.Report {
 	if cap(a.scratch) < len(a.reports) {
 		// One right-sized allocation instead of an append growth chain.
-		a.scratch = make([]NeighborReport, 0, len(a.reports))
+		a.scratch = make([]predict.Report, 0, len(a.reports))
 	}
 	out := a.scratch[:0]
 	for _, r := range a.reports {
 		out = append(out, r)
 	}
-	slices.SortFunc(out, func(x, y NeighborReport) int { return int(x.ID) - int(y.ID) })
+	slices.SortFunc(out, func(x, y predict.Report) int { return int(x.ID) - int(y.ID) })
 	a.scratch = out
 	return out
 }

@@ -1,8 +1,9 @@
 // Package core implements the paper's primary contribution: PAS, the
 // Prediction-based Adaptive Sleeping protocol. It contains the two-message
-// REQUEST/RESPONSE wire protocol (§3.2), the spreading-velocity estimators
-// and arrival-time predictor (§3.3), the linearly-increasing sleep schedule
-// and the adaptive agent state machine (§3.4, Fig. 3).
+// REQUEST/RESPONSE wire protocol (§3.2), the linearly-increasing sleep
+// schedule and the adaptive agent state machine (§3.4, Fig. 3), which runs
+// the spreading-velocity estimators and arrival-time predictor (§3.3) of
+// internal/predict.
 package core
 
 import (
@@ -55,7 +56,7 @@ type Response struct {
 	// Velocity is the sender's spreading-velocity estimate; valid only when
 	// HasVelocity is set. HasDirection reports whether the vector's
 	// direction is meaningful: PAS velocity estimates are true vectors,
-	// while SAS reports a bare speed through ScalarVelocity and clears the
+	// while SAS reports a bare speed through predict.SpeedOnly and clears the
 	// bit, so receivers never project along the fabricated +x heading.
 	Velocity     geom.Vec2
 	HasVelocity  bool

@@ -218,7 +218,7 @@ func TestResponseHasDirectionRoundTrip(t *testing.T) {
 	for _, hasDir := range []bool{false, true} {
 		r := Response{
 			Pos: geom.V(3, 4), State: node.StateCovered,
-			Velocity: ScalarVelocity(2), HasVelocity: true, HasDirection: hasDir,
+			Velocity: predict.SpeedOnly(2), HasVelocity: true, HasDirection: hasDir,
 			PredictedArrival: 9, DetectedAt: 9, Detected: true,
 		}
 		got, err := DecodeResponse(r.Encode())

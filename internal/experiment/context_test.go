@@ -6,6 +6,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/node"
+	"repro/internal/scenario"
 )
 
 // TestRunOnceContextCancelled verifies a dead context stops a run before it
@@ -18,23 +21,33 @@ func TestRunOnceContextCancelled(t *testing.T) {
 	}
 }
 
-// TestRunOnceContextDeadlineMidRun verifies an expiring deadline interrupts
-// the kernel between slices rather than running to the horizon.
-func TestRunOnceContextDeadlineMidRun(t *testing.T) {
-	// A microscopic deadline expires while the simulation executes; the run
-	// must report the deadline error instead of a full-horizon report.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Microsecond)
-	defer cancel()
-	time.Sleep(time.Millisecond) // let the deadline lapse for certain
-	_, err := RunOnceContext(ctx, RunConfig{Seed: 1})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+// TestRunOnceContextCancelMidRun cancels a scale-1k run from its progress
+// hook at the first report, at 0, 1 and 2 shards: the kernel must stop
+// between windows and return the cancellation instead of a report.
+func TestRunOnceContextCancelMidRun(t *testing.T) {
+	spec, ok := scenario.Lookup("scale-1k")
+	if !ok {
+		t.Fatal("scale-1k missing from the scenario registry")
+	}
+	rc, err := FromScenario(spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 1, 2} {
+		rc.Shards = shards
+		ctx, cancel := context.WithCancel(context.Background())
+		ctx = node.WithProgress(ctx, func(float64, float64) { cancel() })
+		_, err := RunOnceContext(ctx, rc)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: err = %v, want context.Canceled", shards, err)
+		}
 	}
 }
 
-// TestRunOnceContextMatchesRunOnce pins that a live cancellable context —
-// which takes the sliced kernel path — produces byte-identical reports to
-// the plain Background run, at several seeds.
+// TestRunOnceContextMatchesRunOnce pins that a live cancellable context,
+// polled after every window, produces byte-identical reports to the plain
+// Background run, at several seeds.
 func TestRunOnceContextMatchesRunOnce(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		rc := RunConfig{Seed: seed}
@@ -49,7 +62,7 @@ func TestRunOnceContextMatchesRunOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("seed %d: sliced run drifted from the unsliced run", seed)
+			t.Fatalf("seed %d: cancellable run drifted from the Background run", seed)
 		}
 	}
 }

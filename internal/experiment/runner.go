@@ -69,13 +69,13 @@ type RunConfig struct {
 	// BatteryJ, when positive, gives every node a finite energy budget in
 	// joules; nodes die when they exhaust it (the lifetime experiments).
 	BatteryJ float64
-	// Shards, when positive, runs the simulation on that many spatially
-	// partitioned kernels under conservative time windows (see
-	// node.BuildShardedNetwork). Output is bit-identical to the serial
-	// kernel at any shard count; only wall-clock time changes. Sharding
-	// requires a deterministic transmit path — exact unit-disk loss, no
-	// collisions, no CSMA, no extended fault plan — and returns an error
-	// otherwise (Shardable reports why).
+	// Shards is how many spatially partitioned kernels run the simulation
+	// (see node.BuildShardedNetwork); 0 and 1 both mean one kernel, which is
+	// serial execution and accepts every config. Two or more advance under
+	// conservative time windows and require a deterministic transmit path —
+	// exact unit-disk loss, no collisions, no CSMA, no extended fault plan —
+	// or return an error (Shardable reports why). Output is bit-identical at
+	// any shard count; only wall-clock time changes.
 	Shards int
 }
 
@@ -130,11 +130,17 @@ func (rc RunConfig) agents() (func(radio.NodeID) node.Agent, error) {
 	}
 }
 
-// Build assembles the network for a run config without running it, so
-// callers can attach observers (contour estimators, state logs) before the
-// simulation starts. It returns the network and the defaulted config.
+// Build assembles the network for a run config on max(rc.Shards, 1) kernels
+// without running it, so callers can attach observers (contour estimators,
+// state logs) before the simulation starts. It returns the network and the
+// defaulted config. The construction-time draws below (failures, fault
+// plans) happen in global node order before the run starts, so the shard
+// count cannot change them.
 func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 	rc = rc.Defaults()
+	if err := Shardable(rc); err != nil {
+		return nil, rc, err
+	}
 	agents, err := rc.agents()
 	if err != nil {
 		return nil, rc, err
@@ -161,7 +167,7 @@ func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 	// topology instead of re-freezing it per protocol × seed (see
 	// depcache.go).
 	topo := cachedTopology(dep, loss.MaxRange())
-	nw := node.BuildNetwork(node.NetworkConfig{
+	nw := node.BuildShardedNetwork(node.NetworkConfig{
 		Deployment:    dep,
 		Stimulus:      rc.Scenario.Stimulus,
 		Profile:       energy.Telos(),
@@ -171,7 +177,7 @@ func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 		Collisions:    rc.Collisions,
 		CSMA:          rc.CSMA,
 		Topology:      topo,
-	})
+	}, max(rc.Shards, 1), minWireBytes)
 	if rc.BatteryJ > 0 {
 		for _, n := range nw.Nodes {
 			n.SetBattery(rc.BatteryJ)
@@ -203,23 +209,13 @@ func RunOnce(rc RunConfig) (metrics.RunReport, error) {
 }
 
 // RunOnceContext is RunOnce with cooperative cancellation: the context is
-// checked before the network is built and between kernel slices while the
+// checked before the network is built and after every window while the
 // simulation runs (node.Network.RunContext), so a cancelled or expired
 // request stops within a fraction of the run instead of completing it. A
-// non-cancellable context (context.Background()) reproduces RunOnce exactly.
+// run left to finish is byte-identical to RunOnce.
 func RunOnceContext(ctx context.Context, rc RunConfig) (metrics.RunReport, error) {
 	if err := ctx.Err(); err != nil {
 		return metrics.RunReport{}, err
-	}
-	if rc.Shards > 0 {
-		nw, rc, err := BuildSharded(rc)
-		if err != nil {
-			return metrics.RunReport{}, err
-		}
-		if _, err := nw.RunContext(ctx, rc.Scenario.Horizon); err != nil {
-			return metrics.RunReport{}, err
-		}
-		return metrics.Collect(nw.Nodes, rc.Scenario.Horizon), nil
 	}
 	nw, rc, err := Build(rc)
 	if err != nil {
@@ -253,7 +249,7 @@ func ReplicateParallel(rc RunConfig, seeds []int64, parallelism int) (metrics.Ag
 
 // ReplicateParallelContext is ReplicateParallel with cooperative
 // cancellation: the pool stops claiming seeds once ctx is done and in-flight
-// runs stop at their next kernel slice, so the call returns promptly with
+// runs stop after their current window, so the call returns promptly with
 // ctx's error instead of a partial aggregate.
 func ReplicateParallelContext(ctx context.Context, rc RunConfig, seeds []int64, parallelism int) (metrics.Aggregate, error) {
 	var agg metrics.Aggregate

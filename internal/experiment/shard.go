@@ -1,22 +1,10 @@
-// Sharded run assembly: the gate deciding which configurations may shard,
-// and the sharded twin of Build. Both must stay in lockstep with Build —
-// the bit-identity guarantee rests on drawing the same randomness from the
-// same streams and scheduling the same construction events in the same
-// global order.
 package experiment
 
 import (
-	"context"
 	"fmt"
 
-	"math"
-
 	"repro/internal/core"
-	"repro/internal/energy"
-	"repro/internal/metrics"
-	"repro/internal/node"
 	"repro/internal/radio"
-	"repro/internal/rng"
 )
 
 // minWireBytes is the smallest on-air frame any protocol in this repository
@@ -26,14 +14,18 @@ import (
 // sharded medium enforces it with a panic).
 var minWireBytes = core.Request{}.Size()
 
-// Shardable reports whether the (defaulted) config can run sharded, and the
-// first reason it cannot. Sharding requires a transmit path free of shared
-// randomness and cross-shard receiver state at transmit time: exact
-// unit-disk loss, no collision modelling, no CSMA, no extended fault plan.
-// Battery budgets and legacy FailFraction crashes are fine — both are
-// construction-time effects that draw their randomness before the shards
-// start running.
+// Shardable reports whether the (defaulted) config can run on rc.Shards
+// kernels, and the first reason it cannot. One shard (Shards 0 or 1) is
+// serial execution and accepts every config. Two or more require a transmit
+// path free of shared randomness and cross-shard receiver state at transmit
+// time: exact unit-disk loss, no collision modelling, no CSMA, no extended
+// fault plan. Battery budgets and legacy FailFraction crashes are fine —
+// both are construction-time effects that draw their randomness before the
+// shards start running.
 func Shardable(rc RunConfig) error {
+	if rc.Shards < 2 {
+		return nil
+	}
 	rc = rc.Defaults()
 	loss := rc.Loss
 	if loss == nil {
@@ -52,61 +44,4 @@ func Shardable(rc RunConfig) error {
 		return fmt.Errorf("experiment: extended fault plans cannot run sharded")
 	}
 	return nil
-}
-
-// BuildSharded assembles the sharded network for a run config with
-// rc.Shards > 0. It mirrors Build stream for stream — same memoized
-// deployment and topology, same battery and failure draws in the same node
-// order — so the only difference from a serial build is how the event
-// population is spread over kernels.
-func BuildSharded(rc RunConfig) (*node.ShardedNetwork, RunConfig, error) {
-	rc = rc.Defaults()
-	if err := Shardable(rc); err != nil {
-		return nil, rc, err
-	}
-	agents, err := rc.agents()
-	if err != nil {
-		return nil, rc, err
-	}
-	src := rng.NewSource(rc.Seed)
-	dep := cachedDeployment(rc.Seed, rc.Scenario.Field, rc.Nodes, rc.Range, rc.Deploy, 2000)
-	loss := rc.Loss
-	if loss == nil {
-		loss = radio.UnitDisk{Range: rc.Range}
-	}
-	topo := cachedTopology(dep, loss.MaxRange())
-	nw := node.BuildShardedNetwork(node.NetworkConfig{
-		Deployment: dep,
-		Stimulus:   rc.Scenario.Stimulus,
-		Profile:    energy.Telos(),
-		Loss:       loss,
-		Agents:     agents,
-		Topology:   topo,
-	}, rc.Shards, minWireBytes)
-	if rc.BatteryJ > 0 {
-		for _, n := range nw.Nodes {
-			n.SetBattery(rc.BatteryJ)
-		}
-	}
-	if rc.FailFraction > 0 {
-		failBy := rc.FailBy
-		if failBy <= 0 {
-			failBy = rc.Scenario.Horizon
-		}
-		st := src.Stream("failures")
-		kill := int(math.Round(rc.FailFraction * float64(len(nw.Nodes))))
-		for _, idx := range st.Perm(len(nw.Nodes))[:kill] {
-			nw.Nodes[idx].FailAt(st.Uniform(0, failBy))
-		}
-	}
-	return nw, rc, nil
-}
-
-// RunOnceSharded executes one sharded simulation and collects its metrics —
-// the convenience twin of RunOnce for callers that set Shards explicitly.
-func RunOnceSharded(ctx context.Context, rc RunConfig) (metrics.RunReport, error) {
-	if rc.Shards < 1 {
-		rc.Shards = 1
-	}
-	return RunOnceContext(ctx, rc)
 }

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
@@ -109,19 +108,52 @@ func TestShardedBatteryAndFailures(t *testing.T) {
 	}
 }
 
-// TestRunOnceSharded pins the convenience wrapper: Shards defaults to 1 when
-// unset and the result matches the serial run exactly.
-func TestRunOnceSharded(t *testing.T) {
-	rc := RunConfig{Nodes: 60, Seed: 3}
-	serial, err := RunOnce(rc)
-	if err != nil {
-		t.Fatal(err)
+// TestOneShardAcceptsSerialConfigs pins that one shard is serial execution:
+// configs that cannot split across kernels — lossy channels, collisions and
+// CSMA, fault plans, construction-time battery and failure draws — run on
+// one shard with a report identical to the Shards 0 run, while the gate
+// still refuses the unshardable ones at two shards.
+func TestOneShardAcceptsSerialConfigs(t *testing.T) {
+	fromRegistry := func(name string) RunConfig {
+		t.Helper()
+		spec, ok := scenario.Lookup(name)
+		if !ok {
+			t.Fatalf("%s missing from the scenario registry", name)
+		}
+		rc, err := FromScenario(spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rc
 	}
-	got, err := RunOnceSharded(context.Background(), rc)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name      string
+		rc        RunConfig
+		shardable bool // may also run on two shards
+	}{
+		{"harsh", fromRegistry("harsh"), false},
+		{"churn", fromRegistry("churn"), false},
+		{"drift", fromRegistry("drift"), false},
+		{"battery+failures", RunConfig{Nodes: 60, Seed: 3, BatteryJ: 2.0, FailFraction: 0.2}, true},
 	}
-	if !reflect.DeepEqual(got, serial) {
-		t.Errorf("RunOnceSharded differs from serial:\ngot  %+v\nwant %+v", got, serial)
+	for _, c := range cases {
+		serial, err := RunOnce(c.rc)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		one := c.rc
+		one.Shards = 1
+		got, err := RunOnce(one)
+		if err != nil {
+			t.Fatalf("%s: one shard: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, serial) {
+			t.Errorf("%s: one-shard report differs from the serial one:\ngot  %+v\nwant %+v", c.name, got, serial)
+		}
+		two := c.rc
+		two.Shards = 2
+		if err := Shardable(two); (err == nil) != c.shardable {
+			t.Errorf("%s: Shardable at two shards = %v, want shardable %v", c.name, err, c.shardable)
+		}
 	}
 }

@@ -4,6 +4,17 @@
 // failure injection. Protocol behaviour (PAS, SAS, NS, duty-cycling) is
 // supplied by an Agent implementation; the Node provides the facilities
 // agents act through.
+//
+// A Network runs on one or more spatial shards through one builder
+// (BuildShardedNetwork; BuildNetwork is the one-shard call) and one run loop
+// (Network.RunContext). One shard is serial execution: one kernel, one
+// medium, no goroutine and no barrier. Two or more split the deployment into
+// contiguous strips over one shared frozen topology and advance in lockstep
+// windows of W = TxTime(minWire) — the shortest on-air transmission, hence
+// the minimum cross-shard influence delay — with a barrier between windows
+// that reconstructs the serial event order (sim.ShardGroup.EndWindow) and
+// exchanges the staged cross-shard deliveries (radio FlushBoundary). The
+// output is bit-identical at any shard count; only the wall-clock changes.
 package node
 
 import (
@@ -93,8 +104,8 @@ type Downtime struct {
 }
 
 // Node is one simulated sensor mote. Nodes embed their meter and timers by
-// value and schedule their callbacks as package-level arg handlers, so
-// BuildNetwork can slab-allocate thousands of them with O(1) allocations.
+// value and schedule their callbacks as package-level arg handlers, so the
+// network builder can slab-allocate thousands of them with O(1) allocations.
 type Node struct {
 	id     radio.NodeID
 	pos    geom.Vec2
@@ -167,7 +178,7 @@ func New(cfg Config) *Node {
 }
 
 // init wires a node in place — the slab-construction entry point used by
-// BuildNetwork (New wraps it for hand-built nodes).
+// BuildShardedNetwork (New wraps it for hand-built nodes).
 func (n *Node) init(cfg Config) {
 	if cfg.Kernel == nil || cfg.Medium == nil || cfg.Stimulus == nil || cfg.Agent == nil {
 		panic("node: incomplete config")

@@ -7,9 +7,9 @@ import "context"
 // from the run orchestration goroutine — never from inside an event handler —
 // so they cannot perturb the event sequence; a progress-observed run is
 // byte-identical to an unobserved one. Implementations must be cheap and
-// must not block: a serial run reports per RunUntil slice, a sharded run per
-// conservative window, which at 100k-node scale is tens of thousands of
-// calls.
+// must not block: a run reports once per window and once at the horizon —
+// at most 129 calls on one shard, and one per conservative window on two or
+// more, which at 100k-node scale is tens of thousands of calls.
 type ProgressFunc func(now, horizon float64)
 
 // progressKey carries a ProgressFunc through a context.
@@ -17,9 +17,9 @@ type progressKey struct{}
 
 // WithProgress derives a context whose simulation runs report progress to fn.
 // The hook rides the context through every layer (experiment.RunOnceContext →
-// Network.RunContext / ShardedNetwork.RunContext) without widening any
-// signature, so the serving layer can stream per-window progress for a
-// 100k-node sharded run it queued as an async job.
+// Network.RunContext) without widening any signature, so the serving layer
+// can stream per-window progress for a 100k-node sharded run it queued as
+// an async job.
 func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 	return context.WithValue(ctx, progressKey{}, fn)
 }
@@ -30,9 +30,4 @@ func WithProgress(ctx context.Context, fn ProgressFunc) context.Context {
 func ProgressFromContext(ctx context.Context) ProgressFunc {
 	fn, _ := ctx.Value(progressKey{}).(ProgressFunc)
 	return fn
-}
-
-// progressFrom is the package-internal alias the run loops use.
-func progressFrom(ctx context.Context) ProgressFunc {
-	return ProgressFromContext(ctx)
 }

@@ -20,8 +20,8 @@ import (
 	"repro/internal/radio"
 )
 
-// Report is the per-neighbour knowledge a PAS node accumulates from
-// RESPONSE messages (core.NeighborReport is an alias of this type).
+// Report is the per-neighbour knowledge a PAS or SAS node accumulates from
+// RESPONSE messages.
 type Report struct {
 	ID    radio.NodeID
 	Pos   geom.Vec2

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/node"
+	"repro/internal/predict"
 	"repro/internal/radio"
 	"repro/internal/sim"
 )
@@ -76,8 +77,8 @@ func DefaultConfig() Config {
 type Agent struct {
 	cfg      Config
 	n        *node.Node // bound at Init; the arg handlers below reach it here
-	reports  map[radio.NodeID]core.NeighborReport
-	scratch  []core.NeighborReport // reused snapshot buffer
+	reports  map[radio.NodeID]predict.Report
+	scratch  []predict.Report // reused snapshot buffer
 	schedule core.SleepSchedule
 
 	speed    float64 // scalar spreading-speed estimate (0 = unknown)
@@ -109,7 +110,7 @@ func New(cfg Config) *Agent {
 func (a *Agent) fill(cfg Config) {
 	*a = Agent{
 		cfg:      cfg,
-		reports:  make(map[radio.NodeID]core.NeighborReport),
+		reports:  make(map[radio.NodeID]predict.Report),
 		schedule: core.MakeSleepSchedule(cfg.SleepInit, cfg.SleepIncrement, cfg.SleepMax),
 	}
 }
@@ -337,7 +338,7 @@ func (a *Agent) handleRequest(n *node.Node) {
 
 // handleResponse folds a neighbour's alert into the report table.
 func (a *Agent) handleResponse(n *node.Node, from radio.NodeID, m core.Response) {
-	a.reports[from] = core.NeighborReport{
+	a.reports[from] = predict.Report{
 		ID:               from,
 		Pos:              m.Pos,
 		State:            m.State,
@@ -394,7 +395,7 @@ func (a *Agent) sendResponse(n *node.Node) {
 		State: n.State(),
 		// The velocity field carries a bare magnitude; HasDirection stays
 		// unset so receivers never project along the placeholder heading.
-		Velocity:         core.ScalarVelocity(a.speed),
+		Velocity:         predict.SpeedOnly(a.speed),
 		HasVelocity:      a.hasSpeed,
 		HasDirection:     false,
 		PredictedArrival: a.detectedAt,
@@ -405,16 +406,16 @@ func (a *Agent) sendResponse(n *node.Node) {
 
 // sortedReports snapshots the report table in deterministic (ID) order into
 // a reused buffer; callers only read the slice during the call.
-func (a *Agent) sortedReports() []core.NeighborReport {
+func (a *Agent) sortedReports() []predict.Report {
 	if cap(a.scratch) < len(a.reports) {
 		// One right-sized allocation instead of an append growth chain.
-		a.scratch = make([]core.NeighborReport, 0, len(a.reports))
+		a.scratch = make([]predict.Report, 0, len(a.reports))
 	}
 	out := a.scratch[:0]
 	for _, r := range a.reports {
 		out = append(out, r)
 	}
-	slices.SortFunc(out, func(x, y core.NeighborReport) int { return int(x.ID) - int(y.ID) })
+	slices.SortFunc(out, func(x, y predict.Report) int { return int(x.ID) - int(y.ID) })
 	a.scratch = out
 	return out
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/geom"
 	"repro/internal/node"
+	"repro/internal/predict"
 	"repro/internal/radio"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -77,7 +78,7 @@ func TestOnlyCoveredNodesRespond(t *testing.T) {
 	k.Schedule(0.01, func(*sim.Kernel) {
 		pn.Broadcast(core.Response{
 			Pos: geom.V(5, 0), State: node.StateCovered,
-			Velocity: core.ScalarVelocity(1), HasVelocity: true,
+			Velocity: predict.SpeedOnly(1), HasVelocity: true,
 			PredictedArrival: 0, DetectedAt: 0, Detected: true,
 		}.Envelope())
 	})
@@ -283,7 +284,7 @@ func TestSASAlertDropsWhenReportsAge(t *testing.T) {
 	k.Schedule(0.01, func(*sim.Kernel) {
 		pn.Broadcast(core.Response{
 			Pos: geom.V(5, 0), State: node.StateCovered,
-			Velocity: core.ScalarVelocity(0.5), HasVelocity: true,
+			Velocity: predict.SpeedOnly(0.5), HasVelocity: true,
 			PredictedArrival: 0, DetectedAt: 0, Detected: true,
 		}.Envelope())
 	})
@@ -312,7 +313,7 @@ func TestSASIgnoresUselessReports(t *testing.T) {
 		// Alert-state report: SAS must ignore it (only covered count).
 		pn.Broadcast(core.Response{
 			Pos: geom.V(5, 0), State: node.StateAlert,
-			Velocity: core.ScalarVelocity(1), HasVelocity: true,
+			Velocity: predict.SpeedOnly(1), HasVelocity: true,
 			PredictedArrival: 3,
 		}.Envelope())
 	})
@@ -320,7 +321,7 @@ func TestSASIgnoresUselessReports(t *testing.T) {
 		// Covered report with zero speed: unusable.
 		pn.Broadcast(core.Response{
 			Pos: geom.V(5, 0), State: node.StateCovered,
-			Velocity: core.ScalarVelocity(0), HasVelocity: true,
+			Velocity: predict.SpeedOnly(0), HasVelocity: true,
 			PredictedArrival: 0, DetectedAt: 0, Detected: true,
 		}.Envelope())
 	})

@@ -267,8 +267,9 @@ func (c *simCall) replicate(ctx context.Context) ([]byte, error) {
 	})
 }
 
-// checkShards validates the shards execution hint up front, so a non-shardable
-// spec is a 400 at submit time rather than a late compute failure.
+// checkShards validates the shards execution hint up front, so a spec that
+// cannot run on that many kernels is a 400 at submit time rather than a late
+// compute failure.
 func checkShards(sp scenario.Scenario, shards int) error {
 	if shards < 0 {
 		return badRequest("negative shards %d", shards)
@@ -280,6 +281,7 @@ func checkShards(sp scenario.Scenario, shards int) error {
 	if err != nil {
 		return badRequest("%v", err)
 	}
+	rc.Shards = shards
 	if err := experiment.Shardable(rc); err != nil {
 		return badRequest("%v", err)
 	}

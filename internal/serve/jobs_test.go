@@ -315,7 +315,7 @@ func TestJobFailureIsTerminal(t *testing.T) {
 
 // TestShardsHintSharesKey pins that the shards execution hint is absent from
 // the content address: a sharded submission is a cache hit against the serial
-// run's result.
+// run's result, and a one-shard miss computes the serial bytes.
 func TestShardsHintSharesKey(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp1, body1 := post(t, ts.URL, "/v1/runs", `{"name":"paper","seed":21}`)
@@ -328,5 +328,22 @@ func TestShardsHintSharesKey(t *testing.T) {
 	}
 	if !bytes.Equal(body1, body2) {
 		t.Fatal("sharded request body differs from serial")
+	}
+
+	// One shard runs every spec, including one that cannot split across
+	// kernels: a one-shard miss of harsh (falloff loss, collisions, CSMA) on
+	// its own server is byte-identical to a serial miss.
+	missOf := func(body string) []byte {
+		t.Helper()
+		_, ts := testServer(t, Config{})
+		resp, data := post(t, ts.URL, "/v1/runs", body)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+			t.Fatalf("%s: status %d, X-Cache %q, want 200 miss (%s)",
+				body, resp.StatusCode, resp.Header.Get("X-Cache"), data)
+		}
+		return data
+	}
+	if !bytes.Equal(missOf(`{"name":"harsh","seed":21,"shards":1}`), missOf(`{"name":"harsh","seed":21}`)) {
+		t.Fatal("one-shard harsh body differs from serial")
 	}
 }

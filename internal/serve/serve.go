@@ -350,11 +350,12 @@ type simRequest struct {
 	// TimeoutSec is the per-request deadline in seconds, clamped to the
 	// server's MaxTimeout (0 = server default).
 	TimeoutSec float64 `json:"timeoutSec,omitempty"`
-	// Shards, when positive, executes the simulation on that many spatially
-	// partitioned kernels (node.BuildShardedNetwork). Output is bit-identical
-	// at any shard count, so Shards is an execution hint and deliberately
-	// NOT part of the result key; a non-shardable spec (lossy channel,
-	// collisions, CSMA, faults) is rejected with 400.
+	// Shards is how many spatially partitioned kernels execute the
+	// simulation (experiment.RunConfig.Shards); 0 and 1 both mean one kernel,
+	// which runs every spec. Output is bit-identical at any shard count, so
+	// Shards is an execution hint and deliberately NOT part of the result
+	// key; a spec that cannot split across two or more kernels (lossy
+	// channel, collisions, CSMA, faults) is rejected with 400.
 	Shards int `json:"shards,omitempty"`
 }
 

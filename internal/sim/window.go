@@ -130,7 +130,8 @@ type ShardGroup struct {
 
 // NewShardGroup creates n kernels wired into one group, in direct
 // (construction) mode. Call BeginWindows once the pre-run event population
-// is in place.
+// is in place. A one-shard group is serial execution: its kernel carries no
+// sequencer, numbers events from its own counter and never needs EndWindow.
 func NewShardGroup(n int) *ShardGroup {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: shard group needs at least one shard, got %d", n))
@@ -142,7 +143,9 @@ func NewShardGroup(n int) *ShardGroup {
 	}
 	for i := 0; i < n; i++ {
 		k := NewKernel()
-		k.ws = &winSeq{g: g, shard: i}
+		if n > 1 {
+			k.ws = &winSeq{g: g, shard: i}
+		}
 		g.shards = append(g.shards, k)
 	}
 	return g

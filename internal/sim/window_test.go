@@ -69,7 +69,7 @@ func TestCrossShardTieOrder(t *testing.T) {
 		k.Run()
 	}
 
-	for _, shards := range []int{1, 2, 3} {
+	for _, shards := range []int{2, 3} {
 		g := NewShardGroup(shards)
 		var recs []execRec
 		tieProgram(nodes,
@@ -302,13 +302,28 @@ func TestShardGroupAccessorsAndGuards(t *testing.T) {
 	})
 }
 
+// TestOneShardGroupIsSerial pins that a one-shard group is serial
+// execution: its kernel carries no shard sequencer and numbers events from
+// its own counter, exactly like NewKernel.
+func TestOneShardGroupIsSerial(t *testing.T) {
+	k := NewShardGroup(1).Shard(0)
+	if k.ws != nil {
+		t.Fatal("one-shard group attached a shard sequencer")
+	}
+	k.ScheduleAt(1, func(*Kernel) {})
+	k.ScheduleAt(1, func(*Kernel) {})
+	if k.LastSeq() != 1 {
+		t.Fatalf("second event got seq %d, want 1", k.LastSeq())
+	}
+}
+
 // TestSetFanKeyDiscipline pins the fan-key contract: a no-op on serial
 // kernels and in direct mode, key-space alignment in windowed mode, and a
 // loud panic if receivers are delivered out of row order.
 func TestSetFanKeyDiscipline(t *testing.T) {
 	NewKernel().SetFanKey(5) // serial kernel: no-op
 
-	g := NewShardGroup(1)
+	g := NewShardGroup(2)
 	k := g.Shard(0)
 	k.SetFanKey(5) // direct mode: no-op
 	if k.ws.kNext != 0 {

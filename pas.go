@@ -118,9 +118,10 @@
 // (SubmitJob/WaitJob/JobResult, or RunJob for the whole round trip).
 //
 // Cancellation plumbs all the way into the event kernel: RunContext,
-// ReplicateContext and ReplicateParallelContext stop between kernel slices
-// when their context dies, and produce byte-identical results to the
-// context-free forms when left to finish. Progress rides the same channel in
+// ReplicateContext and ReplicateParallelContext stop after the window in
+// which their context dies — a 128th of the horizon on one kernel, one
+// conservative window on two or more — and produce byte-identical results
+// to the context-free forms when left to finish. Progress rides the same channel in
 // reverse: WithRunProgress derives a context whose simulation reports
 // (now, horizon) advance through virtual time — hooks fire from the run
 // orchestration goroutine, never inside an event handler, so an observed run
@@ -223,7 +224,7 @@
 //     (BenchmarkBroadcastDeliver and the radio alloc tests pin 0
 //     allocs/op). AddNode after the freeze recompiles the topology on the
 //     next broadcast.
-//   - Construction is slab-allocated: node.BuildNetwork carves nodes,
+//   - Construction is slab-allocated: the network builder carves nodes,
 //     radio endpoints and protocol agents from per-network slabs, meters
 //     and timers are embedded by value, and protocol callbacks are
 //     package-level arg handlers bound to the agent, so building a
@@ -236,18 +237,21 @@
 //     (BenchmarkScale10kColdStart measures the memoization-free worst
 //     case).
 //   - The event kernel shards across cores without changing a single output
-//     bit: RunConfig.Shards > 0 (passim -shards N) partitions the deployment
-//     into contiguous spatial strips over the frozen CSR topology, gives
-//     each strip its own arena kernel and medium, and advances all shards in
-//     lockstep conservative windows of length W = TxTime(minWire) — the
-//     shortest possible on-air transmission, hence the minimum delay before
-//     an event on one shard can influence another. Cross-shard deliveries
-//     are staged as boundary events and exchanged at window barriers, and a
-//     per-window sequence merge (internal/sim.ShardGroup) reconstructs the
-//     exact serial event order, so a sharded run is bit-identical to the
-//     serial kernel at ANY shard count — same RunReport, same per-node
-//     table, same golden traces (the byte-identity tests pin 1, 2 and 8
-//     shards against serial on a full scale-1k run). Sharding requires the
+//     bit, through the one builder and run loop every run takes (a serial
+//     run is a one-shard run: one kernel, one medium, no goroutine and no
+//     barrier): RunConfig.Shards ≥ 2 (passim -shards N) partitions the
+//     deployment into contiguous spatial strips over the frozen CSR
+//     topology, gives each strip its own arena kernel and medium, and
+//     advances all shards in lockstep conservative windows of length
+//     W = TxTime(minWire) — the shortest possible on-air transmission, hence
+//     the minimum delay before an event on one shard can influence another.
+//     Cross-shard deliveries are staged as boundary events and exchanged at
+//     window barriers, and a per-window sequence merge
+//     (internal/sim.ShardGroup) reconstructs the exact serial event order,
+//     so a sharded run is bit-identical to the serial kernel at ANY shard
+//     count — same RunReport, same per-node table, same golden traces (the
+//     byte-identity tests pin 1, 2 and 8 shards against serial on a full
+//     scale-1k run). One shard runs every config; two or more require the
 //     deterministic transmit path: exact unit-disk loss, no collisions, no
 //     CSMA, no fault plan (experiment.Shardable gates, with a clear error).
 //     scale-100k and scale-1m join the scenario registry as the workloads
@@ -401,7 +405,7 @@ type (
 func Run(cfg RunConfig) (RunReport, error) { return experiment.RunOnce(cfg) }
 
 // RunContext is Run with cooperative cancellation: the context is checked
-// before the network builds and between kernel slices while the simulation
+// before the network builds and after every window while the simulation
 // runs, so a cancelled or expired context stops the run within a fraction of
 // its horizon. A run left to complete is byte-identical to Run.
 func RunContext(ctx context.Context, cfg RunConfig) (RunReport, error) {
@@ -430,7 +434,7 @@ func ReplicateParallel(cfg RunConfig, seeds []int64, parallelism int) (Aggregate
 
 // ReplicateParallelContext is ReplicateParallel with cooperative
 // cancellation: the pool stops claiming seeds once ctx dies and in-flight
-// runs stop at their next kernel slice.
+// runs stop after their current window.
 func ReplicateParallelContext(ctx context.Context, cfg RunConfig, seeds []int64, parallelism int) (Aggregate, error) {
 	return experiment.ReplicateParallelContext(ctx, cfg, seeds, parallelism)
 }
