@@ -176,7 +176,7 @@ func BenchmarkExtEstimatorAblation(b *testing.B) {
 func BenchmarkExtPlume(b *testing.B) {
 	// The PDE integration dominates; build the scenario once and bench the
 	// protocol runs over it.
-	sc, err := pas.PlumeScenario()
+	sc, err := pas.ScenarioByName("plume", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func BenchmarkExtContour(b *testing.B) {
 
 func BenchmarkExtTerrain(b *testing.B) {
 	// Fast marching dominates construction; build once, bench protocol runs.
-	sc, err := pas.TerrainScenario()
+	sc, err := pas.ScenarioByName("terrain", 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -386,7 +386,10 @@ func BenchmarkBroadcastDeliver(b *testing.B) {
 }
 
 func BenchmarkPASSingleRun(b *testing.B) {
-	sc := pas.PaperScenario()
+	sc, err := pas.ScenarioByName("paper", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pas.Run(pas.RunConfig{Scenario: sc, Protocol: pas.ProtoPAS, Seed: int64(i + 1)}); err != nil {
@@ -563,7 +566,10 @@ func BenchmarkFaultChurn(b *testing.B) {
 }
 
 func BenchmarkSASSingleRun(b *testing.B) {
-	sc := pas.PaperScenario()
+	sc, err := pas.ScenarioByName("paper", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pas.Run(pas.RunConfig{Scenario: sc, Protocol: pas.ProtoSAS, Seed: int64(i + 1)}); err != nil {

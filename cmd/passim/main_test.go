@@ -239,6 +239,21 @@ func TestFailFlagReachesConfig(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeFailFlagIsCleanError pins that -fail outside [0, 1] exits 1
+// with the spec's wording instead of a slice-bounds panic (above 1) or a
+// silent fault-free run (below 0).
+func TestOutOfRangeFailFlagIsCleanError(t *testing.T) {
+	for _, frac := range []string{"1.5", "-0.2"} {
+		var stdout, stderr strings.Builder
+		code := run([]string{"-fail", frac}, &stdout, &stderr)
+		want := "passim: experiment: failure fraction " + frac + " outside [0, 1]\n"
+		if code != 1 || stderr.String() != want || stdout.Len() != 0 {
+			t.Errorf("-fail %s: exit %d, stdout %q, stderr %q; want exit 1 and %q",
+				frac, code, stdout.String(), stderr.String(), want)
+		}
+	}
+}
+
 func TestRunTableOutput(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-table", "-seed", "2"}, &stdout, &stderr); code != 0 {

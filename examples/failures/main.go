@@ -13,7 +13,10 @@ import (
 )
 
 func main() {
-	sc := pas.PaperScenario()
+	sc, err := pas.ScenarioByName("paper", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("scenario: %s — failures + lossy channel stress\n\n", sc.Name)
 
 	seeds := pas.Seeds(6)

@@ -13,7 +13,10 @@ import (
 )
 
 func main() {
-	sc := pas.GasLeakScenario()
+	sc, err := pas.ScenarioByName("gasleak", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("scenario: %s (%s)\n", sc.Name, sc.Description)
 	fmt.Printf("field %v, horizon %.0f s\n\n", sc.Field, sc.Horizon)
 

@@ -13,7 +13,10 @@ import (
 )
 
 func main() {
-	sc := pas.QuietScenario()
+	sc, err := pas.ScenarioByName("quiet", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	const batteryJ = 0.8
 	fmt.Printf("scenario: %s (%s)\n", sc.Name, sc.Description)
 	fmt.Printf("battery %.2f J per node (always-on lifetime: %.1f s at 41 mW)\n\n",

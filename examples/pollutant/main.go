@@ -12,7 +12,7 @@ import (
 )
 
 func main() {
-	sc, err := pas.PlumeScenario()
+	sc, err := pas.ScenarioByName("plume", 1)
 	if err != nil {
 		log.Fatal(err)
 	}

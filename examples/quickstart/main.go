@@ -11,7 +11,10 @@ import (
 )
 
 func main() {
-	sc := pas.PaperScenario()
+	sc, err := pas.ScenarioByName("paper", 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	pasReport, err := pas.Run(pas.RunConfig{Scenario: sc, Protocol: pas.ProtoPAS, Seed: 1})
 	if err != nil {

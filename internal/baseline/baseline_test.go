@@ -10,11 +10,12 @@ import (
 	"repro/internal/geom"
 	"repro/internal/node"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 )
 
 func buildNet(t *testing.T, agents func(radio.NodeID) node.Agent) (*node.Network, diffusion.Scenario) {
 	t.Helper()
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	dep := deploy.Grid(nil, sc.Field, 5, 5, 0)
 	nw := node.BuildNetwork(node.NetworkConfig{
 		Deployment: dep,
@@ -198,4 +199,15 @@ func TestNSIgnoresMessages(t *testing.T) {
 	agent.OnMessage(nil, 0, radio.Envelope{})
 	d := NewDutyCycle(10, 1)
 	d.OnMessage(nil, 0, radio.Envelope{})
+}
+
+// paperScenario builds the registry's paper workload (Figs. 4-7).
+func paperScenario(t *testing.T) diffusion.Scenario {
+	t.Helper()
+	sp, _ := scenario.Lookup("paper")
+	sc, err := sp.BuildStimulus(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 )
 
 func TestEstimatorBasics(t *testing.T) {
@@ -99,7 +100,7 @@ func TestAreaErrorPanics(t *testing.T) {
 func TestEstimatorOnNSNetwork(t *testing.T) {
 	// Always-on sensors detect instantly; the hull of detections at time t
 	// tracks the true disc closely (bounded by deployment discretization).
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	dep := deploy.Grid(nil, sc.Field, 6, 6, 0)
 	nw := node.BuildNetwork(node.NetworkConfig{
 		Deployment: dep,
@@ -139,7 +140,7 @@ func TestEstimatorOnNSNetwork(t *testing.T) {
 }
 
 func TestHullErrorShrinksWithDensity(t *testing.T) {
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	errAt := func(nx int) float64 {
 		dep := deploy.Grid(nil, sc.Field, nx, nx, 0)
 		nw := node.BuildNetwork(node.NetworkConfig{
@@ -160,4 +161,15 @@ func TestHullErrorShrinksWithDensity(t *testing.T) {
 	if dense >= sparse {
 		t.Errorf("hull error did not shrink with density: %v (4x4) vs %v (9x9)", sparse, dense)
 	}
+}
+
+// paperScenario builds the registry's paper workload (Figs. 4-7).
+func paperScenario(t *testing.T) diffusion.Scenario {
+	t.Helper()
+	sp, _ := scenario.Lookup("paper")
+	sc, err := sp.BuildStimulus(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }

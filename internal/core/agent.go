@@ -298,9 +298,8 @@ func (a *Agent) OnStimulusGone(n *node.Node) {
 	a.coveredTimeout.ResetArg(a.cfg.DetectionTimeout, agentCoveredTimeout, a)
 }
 
-// OnMessage implements node.Agent: value-dispatch on the envelope kind, with
-// boxed Request/Response accepted through the KindExt fallback so hand-wired
-// tests and extensions keep working.
+// OnMessage implements node.Agent: value-dispatch on the envelope kind.
+// Other kinds are ignored, except as life evidence for the liveness tracker.
 func (a *Agent) OnMessage(n *node.Node, from radio.NodeID, env radio.Envelope) {
 	if a.live != nil {
 		// Any message is life evidence, whatever its kind.
@@ -311,13 +310,6 @@ func (a *Agent) OnMessage(n *node.Node, from radio.NodeID, env radio.Envelope) {
 		a.handleRequest(n)
 	case radio.KindResponse:
 		a.handleResponse(n, from, ResponseFromEnvelope(env))
-	case radio.KindExt:
-		switch m := env.Ext.(type) {
-		case Request:
-			a.handleRequest(n)
-		case Response:
-			a.handleResponse(n, from, m)
-		}
 	}
 }
 

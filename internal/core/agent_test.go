@@ -11,6 +11,7 @@ import (
 	"repro/internal/node"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -324,7 +325,7 @@ func TestAlertNodeAnswersRequest(t *testing.T) {
 }
 
 func TestPASNetworkPaperScenario(t *testing.T) {
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	dep := deploy.ConnectedUniform(rng.NewSource(7).Stream("deploy"), sc.Field, 30, 10, 500)
 	cfg := DefaultConfig()
 	cfg.SleepMax = 10
@@ -381,7 +382,7 @@ func TestAlertResidencyGrowsWithThreshold(t *testing.T) {
 	// The paper's adaptive knob: a larger alert time produces a larger
 	// alert area (more alert residency), trading energy for latency.
 	residency := func(threshold float64) float64 {
-		sc := diffusion.PaperScenario()
+		sc := paperScenario(t)
 		dep := deploy.ConnectedUniform(rng.NewSource(7).Stream("deploy"), sc.Field, 30, 10, 500)
 		cfg := DefaultConfig()
 		cfg.AlertThreshold = threshold
@@ -404,4 +405,15 @@ func TestAlertResidencyGrowsWithThreshold(t *testing.T) {
 	if hi <= lo {
 		t.Errorf("alert residency did not grow with threshold: %v (T=3) vs %v (T=30)", lo, hi)
 	}
+}
+
+// paperScenario builds the registry's paper workload (Figs. 4-7).
+func paperScenario(t *testing.T) diffusion.Scenario {
+	t.Helper()
+	sp, _ := scenario.Lookup("paper")
+	sc, err := sp.BuildStimulus(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }

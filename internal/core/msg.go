@@ -33,7 +33,7 @@ const headerBytes = 11
 // payload (paper: "This message does not have any payload").
 type Request struct{}
 
-// Size implements radio.Message.
+// Size returns the on-air frame size in bytes.
 func (Request) Size() int { return headerBytes + 1 } // header + type tag
 
 // Envelope packs the request into the radio's value-dispatch envelope — the
@@ -75,7 +75,7 @@ type Response struct {
 // float64 vectors, 2 float64 times, 1 state byte.
 const responsePayload = 1 + 1 + 32 + 16 + 1
 
-// Size implements radio.Message.
+// Size returns the on-air frame size in bytes: the header plus the payload.
 func (Response) Size() int { return headerBytes + responsePayload }
 
 // Response flag bits, shared by the byte codec and the envelope mapping.

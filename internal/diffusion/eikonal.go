@@ -219,36 +219,3 @@ func (f *TerrainFront) SpeedAtPoint(q geom.Vec2) float64 {
 	i, j := f.grid.Cell(q)
 	return f.speed[f.grid.Index(i, j)]
 }
-
-// TerrainScenario builds a heterogeneous-terrain workload: the paper field
-// with a slow band across the middle (e.g. a wet depression slowing a fire
-// or a coarse soil band slowing a pollutant) that the front must round.
-func TerrainScenario() (Scenario, error) {
-	field := geom.R(0, 0, 40, 40)
-	front, err := NewTerrainFront(TerrainConfig{
-		Bounds: field,
-		NX:     80,
-		NY:     80,
-		Speed: func(p geom.Vec2) float64 {
-			// Fast medium at 0.6 m/s with a slow horizontal band (0.15 m/s)
-			// across y∈[18,24] that leaves a gap at the right edge.
-			if p.Y >= 18 && p.Y <= 24 && p.X < 32 {
-				return 0.15
-			}
-			return 0.6
-		},
-		Source:  geom.V(6, 6),
-		Start:   10,
-		Horizon: 200,
-	})
-	if err != nil {
-		return Scenario{}, fmt.Errorf("diffusion: building terrain scenario: %w", err)
-	}
-	return Scenario{
-		Name:        "terrain",
-		Description: "heterogeneous-terrain front (eikonal/fast-marching ground truth)",
-		Field:       field,
-		Horizon:     200,
-		Stimulus:    front,
-	}, nil
-}

@@ -88,11 +88,26 @@ func TestTerrainArrivalMonotoneFromSource(t *testing.T) {
 }
 
 func TestTerrainSlowBandDelaysFront(t *testing.T) {
-	sc, err := TerrainScenario()
+	// The terrain registry workload's front: fast medium at 0.6 m/s with a
+	// slow horizontal band (0.15 m/s) across y∈[18,24] that leaves a gap at
+	// the right edge.
+	f, err := NewTerrainFront(TerrainConfig{
+		Bounds: geom.R(0, 0, 40, 40),
+		NX:     80,
+		NY:     80,
+		Speed: func(p geom.Vec2) float64 {
+			if p.Y >= 18 && p.Y <= 24 && p.X < 32 {
+				return 0.15
+			}
+			return 0.6
+		},
+		Source:  geom.V(6, 6),
+		Start:   10,
+		Horizon: 200,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := sc.Stimulus.(*TerrainFront)
 	// Point straight across the slow band from the source vs an equidistant
 	// point reached through fast medium only.
 	beyond := geom.V(6, 34)  // north of the band, straight line crosses it
@@ -220,16 +235,6 @@ func TestTerrainFrontModelSurface(t *testing.T) {
 		if f.Covered(p, a-0.2) && !f.Covered(p, a+0.2) {
 			t.Errorf("coverage inconsistent at %v", p)
 		}
-	}
-}
-
-func TestTerrainScenarioRuns(t *testing.T) {
-	sc, err := TerrainScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a := sc.Stimulus.ArrivalTime(sc.Field.Center()); a > sc.Horizon {
-		t.Errorf("center arrival %v beyond horizon", a)
 	}
 }
 

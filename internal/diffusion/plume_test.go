@@ -255,41 +255,6 @@ func TestPlumeStability(t *testing.T) {
 	}
 }
 
-func TestScenarios(t *testing.T) {
-	scenarios := []Scenario{
-		PaperScenario(),
-		IrregularScenario(11),
-		GasLeakScenario(),
-		TwinSpillScenario(),
-		PassingPlumeScenario(),
-	}
-	for _, sc := range scenarios {
-		if sc.Name == "" || sc.Stimulus == nil || sc.Horizon <= 0 {
-			t.Errorf("scenario %q malformed", sc.Name)
-		}
-		// The stimulus must reach at least part of the field within the
-		// horizon.
-		center := sc.Field.Center()
-		if a := sc.Stimulus.ArrivalTime(center); a > sc.Horizon {
-			t.Errorf("scenario %q: field center arrival %v beyond horizon %v", sc.Name, a, sc.Horizon)
-		}
-	}
-}
-
-func TestPlumeScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("PDE scenario is slow")
-	}
-	sc, err := PlumeScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := sc.Stimulus.ArrivalTime(sc.Field.Center())
-	if math.IsInf(a, 1) || a > sc.Horizon {
-		t.Errorf("plume never reaches field center within horizon (arrival %v)", a)
-	}
-}
-
 func TestMultiSource(t *testing.T) {
 	a := NewRadialFront(geom.V(0, 0), 1, 0)
 	b := NewRadialFront(geom.V(100, 0), 1, 0)

@@ -325,23 +325,3 @@ func TestQuickAdvectedArrivalConsistent(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestNamedScenarioConstructors(t *testing.T) {
-	for _, sc := range []Scenario{
-		PaperScenario(),
-		IrregularScenario(2),
-		GasLeakScenario(),
-		TwinSpillScenario(),
-		PassingPlumeScenario(),
-		QuietScenario(),
-	} {
-		if sc.Name == "" || sc.Stimulus == nil || sc.Horizon <= 0 {
-			t.Errorf("scenario %+v malformed", sc)
-		}
-	}
-	// The quiet field must stay quiet: nothing arrives within the horizon.
-	quiet := QuietScenario()
-	if at := quiet.Stimulus.ArrivalTime(geom.V(20, 20)); at <= quiet.Horizon {
-		t.Errorf("quiet scenario arrives at %g inside horizon %g", at, quiet.Horizon)
-	}
-}

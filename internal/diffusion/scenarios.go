@@ -1,151 +1,14 @@
 package diffusion
 
-import (
-	"fmt"
+import "repro/internal/geom"
 
-	"repro/internal/geom"
-	"repro/internal/rng"
-)
-
-// Scenario bundles a stimulus with the field it is designed for, so the
-// experiment harness and the examples can pick workloads by name.
+// Scenario is a compiled workload: a stimulus with the field and horizon it
+// is designed for. The scenario registry's declarative specs compile into it
+// (scenario.Scenario.BuildStimulus), and a run config carries it.
 type Scenario struct {
 	Name        string
 	Description string
 	Field       geom.Rect
 	Horizon     float64
 	Stimulus    FrontModel
-}
-
-// PaperScenario reproduces the workload of the paper's Figs. 4–7: a radial
-// pollutant front crossing a field sized for 30 nodes with a 10 m
-// transmission range. The front starts at the field's west edge center and
-// crosses the field well within the horizon.
-func PaperScenario() Scenario {
-	// 40 m × 40 m is the densest field in which 30 uniformly-placed nodes
-	// with a 10 m range form a connected gossip graph with useful
-	// probability (the paper gives node count and range but not the field).
-	field := geom.R(0, 0, 40, 40)
-	origin := geom.V(0, 20)
-	// 0.5 m/s: the field is crossed in ~1.5 minutes, the time scale on
-	// which sleep intervals of 5–30 s matter (as in the paper's figures,
-	// where delays land in the 1–3 s range).
-	front := NewRadialFront(origin, 0.5, 10)
-	return Scenario{
-		Name:        "paper-radial",
-		Description: "radial liquid-pollutant front (paper Figs. 4-7 workload)",
-		Field:       field,
-		Horizon:     140,
-		Stimulus:    front,
-	}
-}
-
-// IrregularScenario is the paper workload with an anisotropic front, giving
-// the irregular alert areas of Fig. 2. Seed controls the harmonic draw.
-func IrregularScenario(seed int64) Scenario {
-	field := geom.R(0, 0, 40, 40)
-	st := rng.NewSource(seed).Stream("anisotropic-front")
-	front := RandomAnisotropicFront(st, geom.V(0, 20), 0.5, 10, 0.4, 4)
-	return Scenario{
-		Name:        "irregular",
-		Description: "anisotropic pollutant front with irregular boundary (Fig. 2 shape)",
-		Field:       field,
-		Horizon:     220,
-		Stimulus:    front,
-	}
-}
-
-// GasLeakScenario is an emergent advected release: fast growth plus wind,
-// the "noxious gas in a city" case of the paper's §3.4 where a large alert
-// area is warranted.
-func GasLeakScenario() Scenario {
-	// 80 m × 80 m keeps realistic deployments (60 nodes at a 14–16 m urban
-	// range) connected while the fast advected front still needs most of
-	// the horizon to cross.
-	field := geom.R(0, 0, 80, 80)
-	front := NewAdvectedFront(geom.V(8, 40), 1.2, geom.V(0.6, 0.15), 5)
-	return Scenario{
-		Name:        "gasleak",
-		Description: "advected noxious-gas release (emergent; paper §3.4 discussion)",
-		Field:       field,
-		Horizon:     100,
-		Stimulus:    front,
-	}
-}
-
-// PlumeScenario integrates a physically-modelled pollutant plume with the
-// PDE solver; it exercises irregular numerically-derived fronts end to end.
-func PlumeScenario() (Scenario, error) {
-	// The field matches the paper scenario (40 m × 40 m) so the standard
-	// 30-node/10 m deployments stay connected.
-	field := geom.R(0, 0, 40, 40)
-	plume, err := NewGridPlume(PlumeConfig{
-		Bounds:      field,
-		NX:          64,
-		NY:          64,
-		Diffusivity: 2.0,
-		Wind:        geom.V(0.25, 0.1),
-		Source:      geom.V(8, 20),
-		Rate:        60,
-		Duration:    0,
-		Threshold:   0.05,
-		Horizon:     200,
-		Start:       10,
-	})
-	if err != nil {
-		return Scenario{}, fmt.Errorf("diffusion: building plume scenario: %w", err)
-	}
-	return Scenario{
-		Name:        "plume",
-		Description: "advection-diffusion PDE pollutant plume (thresholded contour front)",
-		Field:       field,
-		Horizon:     210,
-		Stimulus:    plume,
-	}, nil
-}
-
-// TwinSpillScenario has two simultaneous radial spills — a MultiSource union
-// exercising the minimum-arrival logic.
-func TwinSpillScenario() Scenario {
-	field := geom.R(0, 0, 80, 80)
-	a := NewRadialFront(geom.V(5, 20), 0.45, 10)
-	b := NewRadialFront(geom.V(75, 65), 0.35, 25)
-	return Scenario{
-		Name:        "twinspill",
-		Description: "two simultaneous pollutant spills (union stimulus)",
-		Field:       field,
-		Horizon:     240,
-		Stimulus:    NewMultiSource(a, b),
-	}
-}
-
-// QuietScenario has no stimulus within the horizon: the pure surveillance
-// phase whose energy draw determines network lifetime (the paper's framing:
-// "energy efficiency has proven to be an important factor dominating the
-// working period of WSN surveillance systems"). The front exists but is so
-// distant that nothing happens before the horizon.
-func QuietScenario() Scenario {
-	field := geom.R(0, 0, 40, 40)
-	front := NewRadialFront(geom.V(-1e9, 20), 0.5, 0)
-	return Scenario{
-		Name:        "quiet",
-		Description: "no stimulus within the horizon (surveillance-lifetime workload)",
-		Field:       field,
-		Horizon:     1800,
-		Stimulus:    front,
-	}
-}
-
-// PassingPlumeScenario is a receding stimulus: the front sweeps past and
-// coverage at each point lasts a finite dwell, driving covered→safe
-// transitions.
-func PassingPlumeScenario() Scenario {
-	base := GasLeakScenario()
-	return Scenario{
-		Name:        "passing",
-		Description: "gas plume that blows past (finite dwell; covered→safe transitions)",
-		Field:       base.Field,
-		Horizon:     base.Horizon,
-		Stimulus:    NewReceding(base.Stimulus, 20),
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/diffusion"
 	"repro/internal/radio"
 	"repro/internal/stats"
 )
@@ -385,7 +384,7 @@ func TestExtCollisionsRuns(t *testing.T) {
 
 func TestBatteryRunConfig(t *testing.T) {
 	rc := RunConfig{Seed: 1, BatteryJ: 0.5}
-	rc.Scenario = diffusion.QuietScenario()
+	rc.Scenario = registryScenario("quiet")
 	rep, err := RunOnce(rc)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/contour"
-	"repro/internal/diffusion"
 	"repro/internal/energy"
 	"repro/internal/metrics"
 	"repro/internal/radio"
@@ -445,10 +444,7 @@ func ExtEstimator(o Options) (Result, error) {
 
 // ExtPlume runs the protocols against the PDE plume stimulus.
 func ExtPlume(o Options) (Result, error) {
-	sc, err := diffusion.PlumeScenario()
-	if err != nil {
-		return Result{}, err
-	}
+	sc := registryScenario("plume")
 	xs := o.sweep([]float64{5, 15, 30}, []float64{5, 30})
 	protos := []string{ProtoNS, ProtoPAS, ProtoSAS}
 	curves, err := sweepCurves(o, protos, xs,
@@ -479,7 +475,7 @@ func ExtPlume(o Options) (Result, error) {
 // death per protocol.
 func ExtLifetime(o Options) (Result, error) {
 	const batteryJ = 0.8 // scaled so every protocol dies within the horizon
-	sc := diffusion.QuietScenario()
+	sc := registryScenario("quiet")
 	xs := o.sweep([]float64{5, 10, 20, 30}, []float64{5, 30})
 	protos := []string{ProtoNS, ProtoPAS, ProtoSAS}
 	curves, err := sweepCurves(o, protos, xs,
@@ -566,7 +562,7 @@ func ExtCollisions(o Options) (Result, error) {
 // performance"; this experiment quantifies "system performance" as the
 // quality of the diffused-area estimate the network exists to produce (§1).
 func ExtContour(o Options) (Result, error) {
-	sc := diffusion.PaperScenario()
+	sc := registryScenario("paper")
 	// Sample the estimate while the front is crossing (full coverage ≈ 99 s).
 	times := o.sweep([]float64{40, 55, 70, 85}, []float64{40, 85})
 	const mcSamples = 4000
@@ -627,10 +623,7 @@ func ExtContour(o Options) (Result, error) {
 // (eikonal ground truth): the front slows in a band and bends around it,
 // stressing the constant-velocity extrapolation of both estimators.
 func ExtTerrain(o Options) (Result, error) {
-	sc, err := diffusion.TerrainScenario()
-	if err != nil {
-		return Result{}, err
-	}
+	sc := registryScenario("terrain")
 	xs := o.sweep([]float64{5, 15, 30}, []float64{5, 30})
 	protos := []string{ProtoNS, ProtoPAS, ProtoSAS}
 	curves, err := sweepCurves(o, protos, xs,

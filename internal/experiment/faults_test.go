@@ -1,9 +1,12 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/scenario"
 )
 
@@ -46,6 +49,47 @@ func TestFromScenarioCompilesExtendedFaults(t *testing.T) {
 	}
 	if rc.PAS.Liveness.BackoffInit != churn.Protocol.Liveness.Interval {
 		t.Errorf("liveness defaults not materialized: %+v", rc.PAS.Liveness)
+	}
+}
+
+// TestBuildRejectsOutOfRangeFailures pins that Build refuses what a spec's
+// validation refuses, in the same words: a failure fraction outside [0, 1]
+// (which used to panic on a slice bound above 1 and run fault-free below 0)
+// and a negative failure deadline.
+func TestBuildRejectsOutOfRangeFailures(t *testing.T) {
+	for _, tc := range []struct {
+		rc   RunConfig
+		want string
+	}{
+		{RunConfig{FailFraction: 1.5}, "failure fraction 1.5 outside [0, 1]"},
+		{RunConfig{FailFraction: -0.2}, "failure fraction -0.2 outside [0, 1]"},
+		{RunConfig{FailFraction: math.NaN()}, "failure fraction NaN outside [0, 1]"},
+		{RunConfig{FailFraction: 0.1, FailBy: -1}, "negative failure deadline -1"},
+	} {
+		if _, _, err := Build(tc.rc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Build(%+v) error = %v, want %q", tc.rc, err, tc.want)
+		}
+	}
+}
+
+// TestFailFractionIsUniformCrashPlan pins that the legacy FailFraction kill
+// and a compiled uniform crash plan are one code path: the same victims die
+// at the same times, so the reports are equal.
+func TestFailFractionIsUniformCrashPlan(t *testing.T) {
+	horizon := registryScenario("paper").Horizon
+	for _, f := range []float64{0.1, 0.5, 1} {
+		legacy, err := RunOnce(RunConfig{Seed: 3, FailFraction: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := fault.Compile(scenario.FailureSpec{Fraction: f}, horizon)
+		planned, err := RunOnce(RunConfig{Seed: 3, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(legacy, planned) {
+			t.Errorf("fraction %g: FailFraction report differs from the compiled crash plan's", f)
+		}
 	}
 }
 

@@ -5,17 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/diffusion"
+	"repro/internal/scenario"
 )
 
 // TestInvariantsAcrossProtocolsAndScenarios runs every protocol against a
 // spread of stimulus models and checks the simulation-wide invariants that
 // must hold regardless of configuration.
 func TestInvariantsAcrossProtocolsAndScenarios(t *testing.T) {
+	sp, _ := scenario.Lookup("irregular")
+	irregular, err := sp.BuildStimulus(5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	scenarios := []diffusion.Scenario{
-		diffusion.PaperScenario(),
-		diffusion.IrregularScenario(5),
-		diffusion.TwinSpillScenario(),
-		diffusion.PassingPlumeScenario(),
+		registryScenario("paper"),
+		irregular,
+		registryScenario("twinspill"),
+		registryScenario("passing"),
 	}
 	protocols := []string{ProtoPAS, ProtoSAS, ProtoNS, ProtoDuty}
 	for _, sc := range scenarios {
@@ -70,7 +76,7 @@ func TestInvariantsAcrossProtocolsAndScenarios(t *testing.T) {
 // the paper's Fig. 3 end to end: on a passing plume, covered nodes must
 // return to the safe state after the stimulus moves on.
 func TestRecedingScenarioDrivesCoveredToSafe(t *testing.T) {
-	sc := diffusion.PassingPlumeScenario()
+	sc := registryScenario("passing")
 	for _, proto := range []string{ProtoPAS, ProtoSAS} {
 		rc := RunConfig{Scenario: sc, Protocol: proto, Seed: 3, Nodes: 40, Range: 18}
 		rep, err := RunOnce(rc)
@@ -113,7 +119,7 @@ func TestDutyCycleComparesAsStrawman(t *testing.T) {
 	// dominated by the post-coverage phase; on a quiet field the configured
 	// 10% cycle must show through.
 	quiet := RunConfig{Protocol: ProtoDuty, Seed: 5, DutyPeriod: 10, DutyOn: 1,
-		Scenario: diffusion.QuietScenario()}
+		Scenario: registryScenario("quiet")}
 	qrep, err := RunOnce(quiet)
 	if err != nil {
 		t.Fatal(err)

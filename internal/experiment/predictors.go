@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/diffusion"
 	"repro/internal/predict"
 )
 
@@ -39,10 +38,7 @@ func extPredictorVariants() []extPredictorVariant {
 // energy frontier: detection delay, per-node energy, and the predictors' own
 // quality measures (arrival-prediction RMSE, report suppressions, staleness).
 func ExtPredictors(o Options) (Result, error) {
-	plume, err := diffusion.PlumeScenario()
-	if err != nil {
-		return Result{}, err
-	}
+	plume := registryScenario("plume")
 	stimuli := []struct {
 		name string
 		cfg  func(rc *RunConfig)

@@ -1,13 +1,13 @@
 // Package experiment is the reproduction harness: it wires scenarios,
 // deployments and protocol agents into replicated simulation runs and
 // regenerates every table and figure of the paper's evaluation (§4) plus the
-// extension experiments listed in DESIGN.md.
+// extension experiments; All lists them. Named workloads come from the
+// scenario registry, their one definition.
 package experiment
 
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -58,7 +58,8 @@ type RunConfig struct {
 	// CSMA, when non-nil, enables carrier-sense multiple access.
 	CSMA *radio.CSMAConfig
 	// FailFraction kills that fraction of nodes at random times in
-	// [0, FailBy] (FailBy 0 = the horizon).
+	// [0, FailBy] (FailBy 0 = the horizon). Build rejects a fraction
+	// outside [0, 1] and a negative FailBy.
 	FailFraction float64
 	FailBy       float64
 	// Faults, when non-nil, is a compiled extended fault plan (churn, sensor
@@ -104,9 +105,21 @@ func (rc RunConfig) Defaults() RunConfig {
 		rc.DutyOn = 1
 	}
 	if rc.Scenario.Stimulus == nil {
-		rc.Scenario = diffusion.PaperScenario()
+		rc.Scenario = registryScenario("paper")
 	}
 	return rc
+}
+
+// registryScenario builds the stimulus of a named registry workload, the one
+// definition of every named scenario. Only a registry bug can make the build
+// fail (the scenario tests build every entry), so it panics.
+func registryScenario(name string) diffusion.Scenario {
+	sp, _ := scenario.Lookup(name)
+	sc, err := sp.BuildStimulus(0)
+	if err != nil {
+		panic(fmt.Sprintf("experiment: registry scenario %q: %v", name, err))
+	}
+	return sc
 }
 
 // agents returns the per-node agent factory for the configured protocol.
@@ -140,6 +153,12 @@ func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 	rc = rc.Defaults()
 	if err := Shardable(rc); err != nil {
 		return nil, rc, err
+	}
+	if !(rc.FailFraction >= 0 && rc.FailFraction <= 1) {
+		return nil, rc, fmt.Errorf("experiment: failure fraction %g outside [0, 1]", rc.FailFraction)
+	}
+	if rc.FailBy < 0 {
+		return nil, rc, fmt.Errorf("experiment: negative failure deadline %g", rc.FailBy)
 	}
 	agents, err := rc.agents()
 	if err != nil {
@@ -184,15 +203,9 @@ func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 		}
 	}
 	if rc.FailFraction > 0 {
-		failBy := rc.FailBy
-		if failBy <= 0 {
-			failBy = rc.Scenario.Horizon
-		}
-		st := src.Stream("failures")
-		kill := int(math.Round(rc.FailFraction * float64(len(nw.Nodes))))
-		for _, idx := range st.Perm(len(nw.Nodes))[:kill] {
-			nw.Nodes[idx].FailAt(st.Uniform(0, failBy))
-		}
+		// The legacy uniform kill: the crash plan's "failures" stream.
+		failures := scenario.FailureSpec{Fraction: rc.FailFraction, By: rc.FailBy}
+		fault.Compile(failures, rc.Scenario.Horizon).Apply(src, nw.Nodes)
 	}
 	if degraded != nil {
 		degraded.Bind(nw.Kernel)

@@ -12,11 +12,12 @@ import (
 	"repro/internal/geom"
 	"repro/internal/node"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 )
 
 func runNS(t *testing.T) (RunReport, float64) {
 	t.Helper()
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	dep := deploy.Grid(nil, sc.Field, 4, 4, 0)
 	nw := node.BuildNetwork(node.NetworkConfig{
 		Deployment: dep,
@@ -106,7 +107,7 @@ func TestAggregate(t *testing.T) {
 
 func TestMissedForever(t *testing.T) {
 	// A failed node that the stimulus reaches counts as missed.
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	dep := deploy.Grid(nil, sc.Field, 3, 3, 0)
 	nw := node.BuildNetwork(node.NetworkConfig{
 		Deployment: dep,
@@ -129,4 +130,15 @@ func TestMissedForever(t *testing.T) {
 		}
 	}
 	_ = geom.Vec2{}
+}
+
+// paperScenario builds the registry's paper workload (Figs. 4-7).
+func paperScenario(t *testing.T) diffusion.Scenario {
+	t.Helper()
+	sp, _ := scenario.Lookup("paper")
+	sc, err := sp.BuildStimulus(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }

@@ -24,7 +24,7 @@ func TestKillMidDeliveryDropsInFlight(t *testing.T) {
 	a.Start()
 	b.Start()
 	// 16-byte ping: on air at t=1, delivers at t+0.512 ms. B dies mid-flight.
-	k.Schedule(1, func(*sim.Kernel) { a.BroadcastMessage(ping{}) })
+	k.Schedule(1, func(*sim.Kernel) { a.Broadcast(ping) })
 	b.FailAt(1.0002)
 	k.Run()
 	if b.RxCount() != 0 || len(rxa.msgs) != 0 {
@@ -48,10 +48,10 @@ func TestRecoverMidDeliveryStaysDeaf(t *testing.T) {
 	// A transmits at t=1 while B is down; B reboots mid-flight at t=1.0003,
 	// inside the [1, 1.000512] on-air window: listening at delivery time but
 	// deaf to a preamble that started during its outage.
-	k.Schedule(1, func(*sim.Kernel) { a.BroadcastMessage(ping{}) })
+	k.Schedule(1, func(*sim.Kernel) { a.Broadcast(ping) })
 	b.RecoverAt(1.0003)
 	// A second transmission after the reboot must go through.
-	k.Schedule(1.1, func(*sim.Kernel) { a.BroadcastMessage(ping{}) })
+	k.Schedule(1.1, func(*sim.Kernel) { a.Broadcast(ping) })
 	k.Run()
 	if !b.IsAwake() || b.Failed() {
 		t.Fatal("node did not recover")
@@ -74,7 +74,7 @@ func TestChurnRejoinKeepsFrozenTopology(t *testing.T) {
 	topo := m.Topology() // freeze before churn
 	b.FailAt(1)
 	b.RecoverAt(5)
-	k.Schedule(6, func(*sim.Kernel) { a.BroadcastMessage(ping{}) })
+	k.Schedule(6, func(*sim.Kernel) { a.Broadcast(ping) })
 	k.Run()
 	if m.Topology() != topo {
 		t.Fatal("churn recovery invalidated the frozen topology")

@@ -74,8 +74,7 @@ type Agent interface {
 	OnStimulusGone(n *Node)
 	// OnMessage is called for every message received while awake. The
 	// envelope arrives by value; protocol payloads are unpacked from the
-	// tagged union (radio.KindRequest/KindResponse/...) and extension
-	// payloads ride in env.Ext via the radio.KindExt slow path.
+	// tagged union by kind (radio.KindRequest/KindResponse/KindBeacon).
 	OnMessage(n *Node, from radio.NodeID, env radio.Envelope)
 }
 
@@ -412,10 +411,6 @@ func (n *Node) Broadcast(env radio.Envelope) {
 	n.txCount++
 	n.medium.Broadcast(n.id, env)
 }
-
-// BroadcastMessage transmits a boxed Message via the radio.KindExt slow path
-// — for extension message types outside the envelope's tagged union.
-func (n *Node) BroadcastMessage(msg radio.Message) { n.Broadcast(radio.Wrap(msg)) }
 
 // TxCount returns the number of transmissions initiated.
 func (n *Node) TxCount() int { return n.txCount }

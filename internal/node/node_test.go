@@ -49,9 +49,8 @@ func (a *scriptAgent) OnMessage(n *Node, from radio.NodeID, env radio.Envelope) 
 	}
 }
 
-type ping struct{ payload int }
-
-func (ping) Size() int { return 16 }
+// ping is a 16-byte frame for hand-wired node tests.
+var ping = radio.Envelope{Kind: radio.KindBeacon, Wire: 16}
 
 // testRig builds a kernel + medium + stimulus for hand-wired node tests.
 func testRig(stim diffusion.Stimulus) (*sim.Kernel, *radio.Medium) {
@@ -148,7 +147,7 @@ func TestMessageDelivery(t *testing.T) {
 	stim := diffusion.NewRadialFront(geom.V(0, 0), 0.001, 0)
 	k, m := testRig(stim)
 	rxA := &scriptAgent{}
-	txA := &scriptAgent{onInit: func(n *Node) { n.BroadcastMessage(ping{payload: 7}) }}
+	txA := &scriptAgent{onInit: func(n *Node) { n.Broadcast(ping) }}
 	rx := newNode(k, m, 0, geom.V(50, 50), stim, rxA)
 	tx := newNode(k, m, 1, geom.V(55, 50), stim, txA)
 	rx.Start()
@@ -166,7 +165,7 @@ func TestAsleepNodeMissesMessages(t *testing.T) {
 	stim := diffusion.NewRadialFront(geom.V(0, 0), 0.001, 0)
 	k, m := testRig(stim)
 	rxA := &scriptAgent{onInit: func(n *Node) { n.Sleep(10) }}
-	txA := &scriptAgent{onInit: func(n *Node) { n.BroadcastMessage(ping{}) }}
+	txA := &scriptAgent{onInit: func(n *Node) { n.Broadcast(ping) }}
 	rx := newNode(k, m, 0, geom.V(50, 50), stim, rxA)
 	tx := newNode(k, m, 1, geom.V(55, 50), stim, txA)
 	rx.Start()
@@ -295,7 +294,7 @@ func TestPanicsOnMisuse(t *testing.T) {
 	n2 := newNode(k, m, 1, geom.V(60, 50), stim, &scriptAgent{onInit: func(n *Node) { n.Sleep(100) }})
 	n2.Start()
 	k.RunUntil(1)
-	mustPanic("broadcast asleep", func() { n2.BroadcastMessage(ping{}) })
+	mustPanic("broadcast asleep", func() { n2.Broadcast(ping) })
 	mustPanic("sense asleep", func() { n2.CoveredNow() })
 }
 

@@ -30,7 +30,7 @@ type floodAgent struct {
 
 func (a *floodAgent) Init(n *Node) {
 	if a.atInit {
-		n.BroadcastMessage(ping{payload: int(n.ID())})
+		n.Broadcast(ping)
 	}
 	for _, at := range a.sendAt {
 		n.Kernel().ScheduleArgAt(at, floodSend, n)
@@ -39,7 +39,7 @@ func (a *floodAgent) Init(n *Node) {
 
 func floodSend(_ *sim.Kernel, arg any) {
 	n := arg.(*Node)
-	n.BroadcastMessage(ping{payload: int(n.ID())})
+	n.Broadcast(ping)
 }
 
 func (a *floodAgent) OnWake(*Node)         {}
@@ -49,7 +49,7 @@ func (a *floodAgent) OnMessage(n *Node, from radio.NodeID, env radio.Envelope) {
 	a.rx = append(a.rx, rxEvent{from: from, at: n.Now()})
 	if a.relays < 2 {
 		a.relays++
-		n.BroadcastMessage(ping{payload: int(n.ID())})
+		n.Broadcast(ping)
 	}
 }
 

@@ -1,4 +1,4 @@
-package core
+package predict
 
 import (
 	"math"
@@ -7,14 +7,13 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/node"
-	"repro/internal/predict"
 	"repro/internal/radio"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func coveredReport(id radio.NodeID, pos geom.Vec2, detectedAt float64, vel geom.Vec2, hasVel bool) predict.Report {
-	return predict.Report{
+func coveredReport(id radio.NodeID, pos geom.Vec2, detectedAt float64, vel geom.Vec2, hasVel bool) Report {
+	return Report{
 		ID: id, Pos: pos, State: node.StateCovered,
 		Velocity: vel, HasVelocity: hasVel, HasDirection: hasVel,
 		PredictedArrival: detectedAt, DetectedAt: detectedAt, Detected: true,
@@ -24,8 +23,8 @@ func coveredReport(id radio.NodeID, pos geom.Vec2, detectedAt float64, vel geom.
 func TestActualVelocityLinearFront(t *testing.T) {
 	// Front moving +x at 2 m/s: I at origin detected t=0, X at (6,0)
 	// detected t=3. v = (X-I)/3 = (2,0).
-	reports := []predict.Report{coveredReport(1, geom.Zero, 0, geom.Zero, false)}
-	v, ok := predict.ActualVelocity(geom.V(6, 0), 3, reports, 1)
+	reports := []Report{coveredReport(1, geom.Zero, 0, geom.Zero, false)}
+	v, ok := ActualVelocity(geom.V(6, 0), 3, reports, 1)
 	if !ok {
 		t.Fatal("no velocity computed")
 	}
@@ -36,18 +35,18 @@ func TestActualVelocityLinearFront(t *testing.T) {
 
 func TestActualVelocityAveragesNeighbors(t *testing.T) {
 	// Two covered neighbours, both consistent with a +x front at 1 m/s.
-	reports := []predict.Report{
+	reports := []Report{
 		coveredReport(1, geom.V(0, 0), 0, geom.Zero, false), // I→X = (4,0), dt=4 → (1,0)
 		coveredReport(2, geom.V(2, 0), 2, geom.Zero, false), // I→X = (2,0), dt=2 → (1,0)
 	}
-	v, ok := predict.ActualVelocity(geom.V(4, 0), 4, reports, 1)
+	v, ok := ActualVelocity(geom.V(4, 0), 4, reports, 1)
 	if !ok || !v.ApproxEqual(geom.V(1, 0), 1e-12) {
 		t.Errorf("v = %v,%v", v, ok)
 	}
 }
 
 func TestActualVelocitySkipsInvalid(t *testing.T) {
-	reports := []predict.Report{
+	reports := []Report{
 		// Not detected.
 		{ID: 1, Pos: geom.V(1, 0), State: node.StateAlert, Detected: false},
 		// Detected simultaneously (dt = 0).
@@ -55,24 +54,24 @@ func TestActualVelocitySkipsInvalid(t *testing.T) {
 		// Detected later (dt < 0).
 		coveredReport(3, geom.V(3, 0), 9, geom.Zero, false),
 	}
-	if _, ok := predict.ActualVelocity(geom.V(10, 0), 5, reports, 1); ok {
+	if _, ok := ActualVelocity(geom.V(10, 0), 5, reports, 1); ok {
 		t.Error("velocity computed from invalid reports")
 	}
 }
 
 func TestExpectedVelocity(t *testing.T) {
-	reports := []predict.Report{
+	reports := []Report{
 		{ID: 1, State: node.StateCovered, Velocity: geom.V(2, 0), HasVelocity: true, HasDirection: true},
 		{ID: 2, State: node.StateAlert, Velocity: geom.V(0, 2), HasVelocity: true, HasDirection: true},
 		{ID: 3, State: node.StateSafe, Velocity: geom.V(9, 9), HasVelocity: true, HasDirection: true}, // safe: skipped
 		{ID: 4, State: node.StateCovered, Velocity: geom.V(9, 9), HasVelocity: false},                 // no velocity
 		{ID: 5, State: node.StateCovered, Velocity: geom.V(9, 9), HasVelocity: true},                  // speed-only: no heading to average
 	}
-	v, ok := predict.ExpectedVelocity(reports)
+	v, ok := ExpectedVelocity(reports)
 	if !ok || !v.ApproxEqual(geom.V(1, 1), 1e-12) {
 		t.Errorf("v = %v,%v want (1,1)", v, ok)
 	}
-	if _, ok := predict.ExpectedVelocity(nil); ok {
+	if _, ok := ExpectedVelocity(nil); ok {
 		t.Error("velocity from no reports")
 	}
 }
@@ -82,13 +81,13 @@ func TestArrivalETACoveredNeighbor(t *testing.T) {
 	// X at (5,0): raw travel 5 s from the neighbour's position.
 	r := coveredReport(1, geom.Zero, 10, geom.V(1, 0), true)
 	// At now=10: eta = 5. At now=12: eta = 3. At now=20: clamped to 0.
-	if eta := predict.ArrivalETA(geom.V(5, 0), 10, r); !almost(eta, 5, 1e-12) {
+	if eta := ArrivalETA(geom.V(5, 0), 10, r); !almost(eta, 5, 1e-12) {
 		t.Errorf("eta@10 = %v", eta)
 	}
-	if eta := predict.ArrivalETA(geom.V(5, 0), 12, r); !almost(eta, 3, 1e-12) {
+	if eta := ArrivalETA(geom.V(5, 0), 12, r); !almost(eta, 3, 1e-12) {
 		t.Errorf("eta@12 = %v", eta)
 	}
-	if eta := predict.ArrivalETA(geom.V(5, 0), 20, r); eta != 0 {
+	if eta := ArrivalETA(geom.V(5, 0), 20, r); eta != 0 {
 		t.Errorf("eta@20 = %v", eta)
 	}
 }
@@ -98,15 +97,15 @@ func TestArrivalETACosineProjection(t *testing.T) {
 	r := coveredReport(1, geom.Zero, 0, geom.V(1, 0), true)
 	x := geom.V(3, 3)
 	want := x.Norm() * math.Sqrt2 / 2
-	if eta := predict.ArrivalETA(x, 0, r); !almost(eta, want, 1e-9) {
+	if eta := ArrivalETA(x, 0, r); !almost(eta, want, 1e-9) {
 		t.Errorf("eta = %v, want %v", eta, want)
 	}
 	// Perpendicular: cos = 0 → never.
-	if eta := predict.ArrivalETA(geom.V(0, 5), 0, r); !math.IsInf(eta, 1) {
+	if eta := ArrivalETA(geom.V(0, 5), 0, r); !math.IsInf(eta, 1) {
 		t.Errorf("perpendicular eta = %v", eta)
 	}
 	// Behind the front: cos < 0 → never.
-	if eta := predict.ArrivalETA(geom.V(-5, 0), 0, r); !math.IsInf(eta, 1) {
+	if eta := ArrivalETA(geom.V(-5, 0), 0, r); !math.IsInf(eta, 1) {
 		t.Errorf("behind eta = %v", eta)
 	}
 }
@@ -114,29 +113,29 @@ func TestArrivalETACosineProjection(t *testing.T) {
 func TestArrivalETAAlertNeighbor(t *testing.T) {
 	// Alert neighbour predicts its own arrival at t=30; X is 4 m farther
 	// along the velocity direction at 2 m/s → +2 s.
-	r := predict.Report{
+	r := Report{
 		ID: 1, Pos: geom.Zero, State: node.StateAlert,
 		Velocity: geom.V(2, 0), HasVelocity: true, HasDirection: true,
 		PredictedArrival: 30,
 	}
-	if eta := predict.ArrivalETA(geom.V(4, 0), 20, r); !almost(eta, 12, 1e-12) {
+	if eta := ArrivalETA(geom.V(4, 0), 20, r); !almost(eta, 12, 1e-12) {
 		t.Errorf("eta = %v, want 12 (30-20+2)", eta)
 	}
 	// Alert neighbour without a prediction is unusable.
 	r.PredictedArrival = math.Inf(1)
-	if eta := predict.ArrivalETA(geom.V(4, 0), 20, r); !math.IsInf(eta, 1) {
+	if eta := ArrivalETA(geom.V(4, 0), 20, r); !math.IsInf(eta, 1) {
 		t.Errorf("eta = %v, want +Inf", eta)
 	}
 }
 
 func TestArrivalETANoVelocity(t *testing.T) {
 	r := coveredReport(1, geom.Zero, 0, geom.Zero, false)
-	if eta := predict.ArrivalETA(geom.V(1, 0), 0, r); !math.IsInf(eta, 1) {
+	if eta := ArrivalETA(geom.V(1, 0), 0, r); !math.IsInf(eta, 1) {
 		t.Errorf("eta without velocity = %v", eta)
 	}
 	// Zero-magnitude velocity likewise.
 	r.HasVelocity = true
-	if eta := predict.ArrivalETA(geom.V(1, 0), 0, r); !math.IsInf(eta, 1) {
+	if eta := ArrivalETA(geom.V(1, 0), 0, r); !math.IsInf(eta, 1) {
 		t.Errorf("eta with zero velocity = %v", eta)
 	}
 }
@@ -144,22 +143,22 @@ func TestArrivalETANoVelocity(t *testing.T) {
 func TestArrivalETAColocated(t *testing.T) {
 	// Co-located with a covered neighbour: due at the neighbour's own time.
 	r := coveredReport(1, geom.V(2, 2), 10, geom.V(1, 0), true)
-	if eta := predict.ArrivalETA(geom.V(2, 2), 10, r); eta != 0 {
+	if eta := ArrivalETA(geom.V(2, 2), 10, r); eta != 0 {
 		t.Errorf("colocated eta = %v", eta)
 	}
 }
 
 func TestMinETA(t *testing.T) {
-	reports := []predict.Report{
+	reports := []Report{
 		coveredReport(1, geom.Zero, 0, geom.V(1, 0), true),    // X at (4,0): eta 4
 		coveredReport(2, geom.V(1, 0), 0, geom.V(1, 0), true), // eta 3
 		{ID: 3, Pos: geom.V(2, 0), State: node.StateAlert},    // no velocity: skipped
 	}
-	got := predict.MinETA(geom.V(4, 0), 0, reports, 0)
+	got := MinETA(geom.V(4, 0), 0, reports, 0)
 	if !almost(got, 3, 1e-12) {
 		t.Errorf("MinETA = %v, want 3", got)
 	}
-	if got := predict.MinETA(geom.V(4, 0), 0, nil, 0); !math.IsInf(got, 1) {
+	if got := MinETA(geom.V(4, 0), 0, nil, 0); !math.IsInf(got, 1) {
 		t.Errorf("empty MinETA = %v", got)
 	}
 }
@@ -169,37 +168,37 @@ func TestMinETAAging(t *testing.T) {
 	old.ReceivedAt = 0
 	fresh := coveredReport(2, geom.V(1, 0), 50, geom.V(1, 0), true)
 	fresh.ReceivedAt = 50
-	reports := []predict.Report{old, fresh}
+	reports := []Report{old, fresh}
 	// At now=60 with maxAge 20, only the fresh report counts:
 	// eta = dist((4,0),(1,0))/1 - (60-50) = 3 - 10 → clamped 0.
-	got := predict.MinETA(geom.V(4, 0), 60, reports, 20)
+	got := MinETA(geom.V(4, 0), 60, reports, 20)
 	if got != 0 {
 		t.Errorf("aged MinETA = %v", got)
 	}
 	// With aging disabled the old report is admissible too (also 0 here,
 	// but it must not be skipped when fresh reports are absent).
-	got = predict.MinETA(geom.V(100, 0), 60, []predict.Report{old}, 0)
+	got = MinETA(geom.V(100, 0), 60, []Report{old}, 0)
 	if math.IsInf(got, 1) {
 		t.Error("aging-disabled report was skipped")
 	}
 }
 
 func TestMeanETA(t *testing.T) {
-	reports := []predict.Report{
+	reports := []Report{
 		coveredReport(1, geom.Zero, 0, geom.V(1, 0), true),    // eta 4
 		coveredReport(2, geom.V(2, 0), 0, geom.V(1, 0), true), // eta 2
 	}
-	got := predict.MeanETA(geom.V(4, 0), 0, reports, 0)
+	got := MeanETA(geom.V(4, 0), 0, reports, 0)
 	if !almost(got, 3, 1e-12) {
 		t.Errorf("MeanETA = %v, want 3", got)
 	}
-	if got := predict.MeanETA(geom.V(4, 0), 0, nil, 0); !math.IsInf(got, 1) {
+	if got := MeanETA(geom.V(4, 0), 0, nil, 0); !math.IsInf(got, 1) {
 		t.Errorf("empty MeanETA = %v", got)
 	}
 }
 
 func TestScalarVelocity(t *testing.T) {
-	if v := predict.SpeedOnly(3); v.Norm() != 3 {
+	if v := SpeedOnly(3); v.Norm() != 3 {
 		t.Errorf("ScalarVelocity norm = %v", v.Norm())
 	}
 }
@@ -208,17 +207,17 @@ func TestArrivalETASpeedOnly(t *testing.T) {
 	// A speed-only report (HasDirection unset, as SAS sends) has no heading
 	// to project on: the estimate is straight-line distance over speed,
 	// wherever the target sits relative to the placeholder +x direction.
-	r := coveredReport(1, geom.Zero, 10, predict.SpeedOnly(2), true)
+	r := coveredReport(1, geom.Zero, 10, SpeedOnly(2), true)
 	r.HasDirection = false
-	if eta := predict.ArrivalETA(geom.V(0, 6), 10, r); !almost(eta, 3, 1e-12) {
+	if eta := ArrivalETA(geom.V(0, 6), 10, r); !almost(eta, 3, 1e-12) {
 		t.Errorf("perpendicular speed-only eta = %v, want 3", eta)
 	}
-	if eta := predict.ArrivalETA(geom.V(-6, 0), 10, r); !almost(eta, 3, 1e-12) {
+	if eta := ArrivalETA(geom.V(-6, 0), 10, r); !almost(eta, 3, 1e-12) {
 		t.Errorf("behind speed-only eta = %v, want 3", eta)
 	}
 	// The same geometry with a directed report refuses both targets.
 	r.HasDirection = true
-	if eta := predict.ArrivalETA(geom.V(0, 6), 10, r); !math.IsInf(eta, 1) {
+	if eta := ArrivalETA(geom.V(0, 6), 10, r); !math.IsInf(eta, 1) {
 		t.Errorf("perpendicular directed eta = %v, want +Inf", eta)
 	}
 }
@@ -233,7 +232,7 @@ func TestQuickETANonNegative(t *testing.T) {
 		}
 		r := coveredReport(1, geom.V(clean(px), clean(py)), clean(det),
 			geom.V(clean(vx), clean(vy)), true)
-		eta := predict.ArrivalETA(geom.V(clean(px)+1, clean(py)-2), clean(now), r)
+		eta := ArrivalETA(geom.V(clean(px)+1, clean(py)-2), clean(now), r)
 		return eta >= 0 || math.IsInf(eta, 1)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -247,8 +246,8 @@ func TestQuickActualVelocityRecoversPlanarFront(t *testing.T) {
 	f := func(rawV, rawD float64) bool {
 		v := math.Abs(math.Mod(rawV, 10)) + 0.1
 		d := math.Abs(math.Mod(rawD, 50)) + 0.1
-		reports := []predict.Report{coveredReport(1, geom.Zero, 0, geom.Zero, false)}
-		got, ok := predict.ActualVelocity(geom.V(d, 0), d/v, reports, 0)
+		reports := []Report{coveredReport(1, geom.Zero, 0, geom.Zero, false)}
+		got, ok := ActualVelocity(geom.V(d, 0), d/v, reports, 0)
 		return ok && got.ApproxEqual(geom.V(v, 0), 1e-6*(1+v))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -270,8 +269,8 @@ func TestQuickActualVelocityTranslationInvariant(t *testing.T) {
 		p := geom.V(clean(px), clean(py))
 		x := p.Add(geom.V(math.Abs(clean(d))+1, 0))
 		mk := func(shift geom.Vec2) (geom.Vec2, bool) {
-			reports := []predict.Report{coveredReport(1, p.Add(shift), 0, geom.Zero, false)}
-			return predict.ActualVelocity(x.Add(shift), 5, reports, 1)
+			reports := []Report{coveredReport(1, p.Add(shift), 0, geom.Zero, false)}
+			return ActualVelocity(x.Add(shift), 5, reports, 1)
 		}
 		v0, ok0 := mk(geom.Zero)
 		v1, ok1 := mk(off)
@@ -292,13 +291,13 @@ func TestQuickMinETALowerBoundsMean(t *testing.T) {
 			}
 			return math.Mod(x, 50)
 		}
-		reports := []predict.Report{
+		reports := []Report{
 			coveredReport(1, geom.V(clean(raw[0]), clean(raw[1])), 0, geom.V(1, 0), true),
 			coveredReport(2, geom.V(clean(raw[2]), clean(raw[3])), 2, geom.V(0.5, 0.5), true),
 		}
 		x := geom.V(clean(raw[4])+60, clean(raw[5]))
-		minV := predict.MinETA(x, 5, reports, 0)
-		meanV := predict.MeanETA(x, 5, reports, 0)
+		minV := MinETA(x, 5, reports, 0)
+		meanV := MeanETA(x, 5, reports, 0)
 		if math.IsInf(meanV, 1) {
 			return true // no finite estimates: nothing to compare
 		}

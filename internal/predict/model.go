@@ -45,35 +45,6 @@ type Stats struct {
 	Suppressed int
 }
 
-// Predictor is the pluggable prediction subsystem of a PAS agent: it owns
-// the velocity estimate and the absolute arrival prediction, refreshes them
-// from neighbour-report snapshots, and gates prediction rebroadcasts.
-// *Model implements it for every registered Spec kind; the agent embeds the
-// concrete Model by value to stay allocation-free.
-type Predictor interface {
-	// Refresh recomputes the prediction from a report snapshot and returns
-	// the expected arrival in seconds from now (+Inf when unknown).
-	Refresh(in Input) float64
-	// Announce reports whether the refreshed prediction should be
-	// rebroadcast (significant change, and within the dual-prediction
-	// tolerance for the switching kind). It also tracks suppression stats,
-	// so call it only where a report would actually be sent.
-	Announce(frac, now float64) bool
-	// Predicted returns the current absolute arrival prediction (+Inf
-	// unknown).
-	Predicted() float64
-	// Velocity returns the current spreading-velocity estimate.
-	Velocity() (geom.Vec2, bool)
-	// SetVelocity installs an externally computed velocity (the covered
-	// node's actual-velocity estimate).
-	SetVelocity(v geom.Vec2)
-	// MarkDetected records the stimulus arrival: the prediction becomes
-	// fact, and the final pre-detection prediction is scored against it.
-	MarkDetected(at float64)
-	// Stats snapshots the per-run prediction-quality counters.
-	Stats() Stats
-}
-
 // kind is the resolved Spec.Kind, switch-dispatchable without string
 // comparisons on the hot path.
 type kind uint8
@@ -104,8 +75,12 @@ func kindOf(name string) kind {
 	}
 }
 
-// Model is the concrete predictor behind every Spec kind. The zero value is
-// unusable; Init it (the agent slab factory does).
+// Model is the pluggable prediction subsystem of a PAS agent and the
+// concrete predictor behind every Spec kind: it owns the velocity estimate
+// and the absolute arrival prediction, refreshes them from neighbour-report
+// snapshots, and gates prediction rebroadcasts. The agent embeds it by value
+// to stay allocation-free. The zero value is unusable; Init it (the agent
+// slab factory does).
 type Model struct {
 	spec Spec
 	est  EstimatorConfig
@@ -132,8 +107,6 @@ type Model struct {
 	announced    bool
 }
 
-var _ Predictor = (*Model)(nil)
-
 // Init configures the model in place for one run; spec defaults are
 // materialized here. Init allocates nothing.
 func (m *Model) Init(spec Spec, est EstimatorConfig) {
@@ -148,9 +121,10 @@ func (m *Model) Init(spec Spec, est EstimatorConfig) {
 	m.kal.reset()
 }
 
-// Refresh implements Predictor: recompute the expected velocity (pre-
-// detection, unless ablated), read the raw paper estimate from the report
-// snapshot, and publish the model's prediction.
+// Refresh recomputes the prediction from a report snapshot and returns the
+// expected arrival in seconds from now (+Inf when unknown): it recomputes
+// the expected velocity (pre-detection, unless ablated), reads the raw paper
+// estimate from the snapshot, and publishes the model's prediction.
 func (m *Model) Refresh(in Input) float64 {
 	if !m.detected && !m.est.DisableExpectedVelocity {
 		if v, ok := ExpectedVelocity(in.Reports); ok {
@@ -257,8 +231,9 @@ func (m *Model) stepSwitching(raw float64) float64 {
 	return out
 }
 
-// Announce implements Predictor. For the switching kind the significant-
-// change rule is additionally gated by the dual-prediction tolerance: the
+// Announce reports whether the refreshed prediction should be rebroadcast.
+// It also tracks suppression stats, so call it only where a report would
+// actually be sent. For the switching kind the significant-change rule is additionally gated by the dual-prediction tolerance: the
 // neighbourhood runs the same model, so while |model − reading| stays
 // within tolerance there is nothing it cannot reconstruct on its own.
 func (m *Model) Announce(frac, now float64) bool {
@@ -285,17 +260,19 @@ func (m *Model) Announce(frac, now float64) bool {
 	return ann
 }
 
-// Predicted implements Predictor.
+// Predicted returns the current absolute arrival prediction (+Inf unknown).
 func (m *Model) Predicted() float64 { return m.predicted }
 
-// Velocity implements Predictor.
+// Velocity returns the current spreading-velocity estimate.
 func (m *Model) Velocity() (geom.Vec2, bool) { return m.velocity, m.hasVelocity }
 
-// SetVelocity implements Predictor.
+// SetVelocity installs an externally computed velocity (the covered node's
+// actual-velocity estimate).
 func (m *Model) SetVelocity(v geom.Vec2) { m.velocity, m.hasVelocity = v, true }
 
-// MarkDetected implements Predictor: score the final pre-detection
-// prediction against the actual arrival, then pin the prediction to fact.
+// MarkDetected records the stimulus arrival: it scores the final
+// pre-detection prediction against the actual arrival, then pins the
+// prediction to fact.
 func (m *Model) MarkDetected(at float64) {
 	if !m.detected && !math.IsInf(m.predicted, 1) && !math.IsNaN(m.predicted) {
 		e := at - m.predicted
@@ -308,5 +285,5 @@ func (m *Model) MarkDetected(at float64) {
 	m.raw = at
 }
 
-// Stats implements Predictor.
+// Stats snapshots the per-run prediction-quality counters.
 func (m *Model) Stats() Stats { return m.stats }

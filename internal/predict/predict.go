@@ -7,9 +7,8 @@
 // estimator reading by more than a tolerance.
 //
 // The agent embeds a Model by value and delegates every prediction refresh
-// to it; the Predictor interface documents the seam. All predictor state is
-// fixed-size and in-struct, so a Model carved from an agent slab allocates
-// nothing per step.
+// to it. All predictor state is fixed-size and in-struct, so a Model carved
+// from an agent slab allocates nothing per step.
 package predict
 
 import (

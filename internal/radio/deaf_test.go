@@ -18,7 +18,7 @@ func TestDeafWindowDropsInFlightDelivery(t *testing.T) {
 	rx := &sink{listening: true, k: k}
 	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
-	m.BroadcastMessage(0, testMsg{size: 32}) // on air at t=0, delivers at ~1.024 ms
+	m.Broadcast(0, testEnv(32)) // on air at t=0, delivers at ~1.024 ms
 	// The receiver reboots mid-flight: listening, but deaf to this preamble.
 	m.MarkDeafUntil(1, 0.0005)
 	k.Run()
@@ -29,7 +29,7 @@ func TestDeafWindowDropsInFlightDelivery(t *testing.T) {
 		t.Errorf("DroppedSleeping = %d, want 1", m.Stats().DroppedSleeping)
 	}
 	// A transmission starting after the reboot is received normally.
-	k.Schedule(0.002, func(*sim.Kernel) { m.BroadcastMessage(0, testMsg{size: 32}) })
+	k.Schedule(0.002, func(*sim.Kernel) { m.Broadcast(0, testEnv(32)) })
 	k.Run()
 	if len(rx.got) != 1 {
 		t.Fatalf("post-reboot delivery count = %d, want 1", len(rx.got))
@@ -44,7 +44,7 @@ func TestDeafWindowBoundaryIsInclusiveOfRestart(t *testing.T) {
 	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
 	m.MarkDeafUntil(1, 0.001)
-	k.Schedule(0.001, func(*sim.Kernel) { m.BroadcastMessage(0, testMsg{size: 32}) })
+	k.Schedule(0.001, func(*sim.Kernel) { m.Broadcast(0, testEnv(32)) })
 	k.Run()
 	if len(rx.got) != 1 {
 		t.Fatalf("delivery count = %d, want 1 (tx started exactly at reboot)", len(rx.got))
@@ -60,7 +60,7 @@ func TestMarkDeafUntilMonotonicAndTopologyPreserving(t *testing.T) {
 	// An earlier MarkDeafUntil never rolls back a later one.
 	m.MarkDeafUntil(1, 0.004)
 	m.MarkDeafUntil(1, 0.001)
-	m.BroadcastMessage(0, testMsg{size: 32}) // on air at t=0 < 0.004: deaf
+	m.Broadcast(0, testEnv(32)) // on air at t=0 < 0.004: deaf
 	k.Run()
 	if len(rx.got) != 0 {
 		t.Fatal("earlier MarkDeafUntil rolled back the deaf window")

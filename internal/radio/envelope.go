@@ -12,14 +12,11 @@ type MsgKind uint8
 // The envelope kinds. KindRequest/KindResponse carry the PAS wire protocol
 // (the traffic that dominates every experiment); KindBeacon is a generic
 // periodic-announcement frame for duty-cycling and discovery extensions.
-// KindExt boxes an arbitrary Message for tests and extensions — the slow
-// path the value-dispatch envelope otherwise replaces.
 const (
 	KindInvalid MsgKind = iota
 	KindRequest
 	KindResponse
 	KindBeacon
-	KindExt
 )
 
 // String implements fmt.Stringer.
@@ -33,16 +30,14 @@ func (k MsgKind) String() string {
 		return "response"
 	case KindBeacon:
 		return "beacon"
-	case KindExt:
-		return "ext"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
 
-// Envelope is the value-dispatch message the medium carries on its hot path:
-// a small tagged union covering the protocol traffic, passed and pooled by
-// value so a broadcast→delivery cycle boxes nothing. The payload fields are
+// Envelope is the one message type the medium carries: a small pointer-free
+// tagged union covering the protocol traffic, passed and pooled by value so
+// a broadcast→delivery cycle boxes nothing. The payload fields are
 // protocol-defined: the protocol packages map their message structs onto
 // Flags/State/F (core.Response uses all six floats) and back, so the medium
 // itself never needs to know the protocol types.
@@ -58,24 +53,10 @@ type Envelope struct {
 	// KindResponse: position x/y, velocity x/y, predicted arrival,
 	// detection time).
 	F [6]float64
-	// Ext is the boxed payload for KindExt and nil otherwise.
-	Ext Message
 }
 
-// Size returns the on-air size in bytes including headers, mirroring
-// Message.Size.
+// Size returns the on-air size in bytes including headers.
 func (e Envelope) Size() int { return int(e.Wire) }
-
-// Wrap boxes an arbitrary Message into a KindExt envelope — the
-// compatibility path for message types outside the tagged union. It is the
-// only envelope constructor that allocates (the interface box).
-func Wrap(msg Message) Envelope {
-	size := msg.Size()
-	if size < 0 || size > math.MaxUint16 {
-		panic(fmt.Sprintf("radio: message size %d outside the envelope's uint16 range", size))
-	}
-	return Envelope{Kind: KindExt, Wire: uint16(size), Ext: msg}
-}
 
 // envelopeWire is the encoded envelope length: kind, flags, state, wire
 // size (uint16) and six float64 payload fields.
@@ -83,8 +64,8 @@ const envelopeWire = 1 + 1 + 1 + 2 + 6*8
 
 // AppendEncode appends the serialized envelope to dst and returns the
 // extended slice. Like core.Response's codec it exists to prove the frame is
-// wire-realizable (and to feed the fuzz harness); KindExt payloads are
-// simulation-only objects and refuse to encode.
+// wire-realizable (and to feed the fuzz harness); KindInvalid and unknown
+// kinds refuse to encode.
 func (e Envelope) AppendEncode(dst []byte) ([]byte, error) {
 	switch e.Kind {
 	case KindRequest, KindResponse, KindBeacon:

@@ -23,7 +23,7 @@ func FuzzEnvelopeCodec(f *testing.F) {
 	seed(Envelope{Kind: KindBeacon, Flags: 0xff, State: 0xff, Wire: 20,
 		F: [6]float64{math.Inf(1), math.Inf(-1), 0, -0.0, 1e-308, math.MaxFloat64}})
 	f.Add([]byte{})
-	f.Add([]byte{byte(KindExt)})
+	f.Add([]byte{4})
 	f.Add(bytes.Repeat([]byte{0xaa}, 53))
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		e, err := DecodeEnvelope(buf)
@@ -34,9 +34,6 @@ func FuzzEnvelopeCodec(f *testing.F) {
 		case KindRequest, KindResponse, KindBeacon:
 		default:
 			t.Fatalf("decoder accepted undispatchable kind %v", e.Kind)
-		}
-		if e.Ext != nil {
-			t.Fatal("decoded envelope carries a boxed payload")
 		}
 		if e.Size() != int(e.Wire) {
 			t.Fatalf("Size() = %d, Wire = %d", e.Size(), e.Wire)

@@ -11,11 +11,10 @@
 //
 // Model-exchange traffic (REQUEST/RESPONSE bursts) dominates every PAS
 // experiment, so the broadcast→delivery path allocates nothing at steady
-// state: messages travel as a value-dispatch Envelope (a small tagged union;
-// the boxed Message interface survives only as the KindExt slow path), and
-// each broadcast schedules ONE kernel event whose argument is a pooled
-// delivery record — receiver list and payload reused across broadcasts —
-// instead of one closure per receiver. Loss draws and collision bookkeeping
+// state: every message travels as a value-dispatch Envelope (a small
+// pointer-free tagged union), and each broadcast schedules ONE kernel event
+// whose argument is a pooled delivery record — receiver list and payload
+// reused across broadcasts — instead of one closure per receiver. Loss draws and collision bookkeeping
 // happen at transmit time, exactly as the per-receiver events did, and the
 // fan-out applies the delivery-time checks in the same receiver order, so
 // batching is observationally identical (the determinism tests and golden
@@ -51,15 +50,6 @@ import (
 // NodeID identifies a node on the medium. IDs are small dense integers
 // assigned by the deployment.
 type NodeID int
-
-// Message is anything protocols exchange over the medium via the KindExt
-// slow path. The medium only needs the on-air size to compute transmission
-// time and energy. Hot-path traffic travels as a value-dispatch Envelope
-// instead of a boxed Message; Wrap bridges the two.
-type Message interface {
-	// Size returns the on-air size in bytes including headers.
-	Size() int
-}
 
 // Receiver is the delivery interface a node exposes to the medium.
 type Receiver interface {
@@ -456,10 +446,8 @@ func (m *Medium) newDelivery() *delivery {
 	return &delivery{}
 }
 
-// freeDelivery recycles a record. The envelope is cleared so a KindExt
-// payload does not outlive its delivery; the target slice keeps its capacity.
+// freeDelivery recycles a record; the target slice keeps its capacity.
 func (m *Medium) freeDelivery(d *delivery) {
-	d.env = Envelope{}
 	d.targets = d.targets[:0]
 	d.rowPos = d.rowPos[:0]
 	m.freeDeliveries = append(m.freeDeliveries, d)
@@ -551,13 +539,6 @@ func (m *Medium) Broadcast(from NodeID, env Envelope) {
 		return
 	}
 	m.kernel.ScheduleArgAt(end, m.deliverFn, d)
-}
-
-// BroadcastMessage transmits a boxed Message via the KindExt slow path —
-// the compatibility entry point for extension message types outside the
-// envelope's tagged union.
-func (m *Medium) BroadcastMessage(from NodeID, msg Message) {
-	m.Broadcast(from, Wrap(msg))
 }
 
 // runDelivery fans one broadcast out to its recorded receivers, applying the

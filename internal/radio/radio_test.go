@@ -11,13 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// testMsg is a fixed-size message for channel tests.
-type testMsg struct {
-	size int
-	tag  string
-}
-
-func (m testMsg) Size() int { return m.size }
+// testEnv is a fixed-size frame for channel tests.
+func testEnv(size int) Envelope { return Envelope{Kind: KindBeacon, Wire: uint16(size)} }
 
 // sink records deliveries and lets tests control listening.
 type sink struct {
@@ -54,7 +49,7 @@ func TestUnitDiskDelivery(t *testing.T) {
 	m.AddNode(0, geom.V(50, 50), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(55, 50), near, nil) // 5 m away
 	m.AddNode(2, geom.V(80, 50), far, nil)  // 30 m away
-	m.BroadcastMessage(0, testMsg{size: 32})
+	m.Broadcast(0, testEnv(32))
 	k.Run()
 	if len(near.got) != 1 {
 		t.Fatalf("near sink got %d messages, want 1", len(near.got))
@@ -82,7 +77,7 @@ func TestSleepingReceiverDrops(t *testing.T) {
 	rx := &sink{listening: false, k: k}
 	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
-	m.BroadcastMessage(0, testMsg{size: 16})
+	m.Broadcast(0, testEnv(16))
 	k.Run()
 	if len(rx.got) != 0 {
 		t.Error("sleeping receiver got a message")
@@ -99,7 +94,7 @@ func TestListeningCheckedAtDeliveryTime(t *testing.T) {
 	rx := &sink{listening: false, k: k}
 	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
-	m.BroadcastMessage(0, testMsg{size: 32}) // delivery at ~1.024 ms
+	m.Broadcast(0, testEnv(32)) // delivery at ~1.024 ms
 	k.Schedule(0.0005, func(*sim.Kernel) { rx.listening = true })
 	k.Run()
 	if len(rx.got) != 1 {
@@ -119,7 +114,7 @@ func TestEnergyCharging(t *testing.T) {
 	rx := &sink{listening: true, k: k}
 	m.AddNode(0, geom.V(0, 0), tx, txm)
 	m.AddNode(1, geom.V(5, 0), rx, rxm)
-	m.BroadcastMessage(0, testMsg{size: 100})
+	m.Broadcast(0, testEnv(100))
 	k.Run()
 	txm.Close(k.Now())
 	rxm.Close(k.Now())
@@ -187,8 +182,8 @@ func TestCollisions(t *testing.T) {
 	m.AddNode(1, geom.V(10, 0), rx, nil)
 	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
 	// Two simultaneous transmissions overlap at node 1: both destroyed.
-	m.BroadcastMessage(0, testMsg{size: 32, tag: "a"})
-	m.BroadcastMessage(2, testMsg{size: 32, tag: "b"})
+	m.Broadcast(0, testEnv(32))
+	m.Broadcast(2, testEnv(32))
 	k.Run()
 	if len(rx.got) != 0 {
 		t.Fatalf("receiver got %d messages through a collision", len(rx.got))
@@ -205,9 +200,9 @@ func TestNoCollisionWhenSpaced(t *testing.T) {
 	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
 	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
-	m.BroadcastMessage(0, testMsg{size: 32, tag: "a"})
+	m.Broadcast(0, testEnv(32))
 	// Second transmission starts after the first completes.
-	k.Schedule(0.01, func(*sim.Kernel) { m.BroadcastMessage(2, testMsg{size: 32, tag: "b"}) })
+	k.Schedule(0.01, func(*sim.Kernel) { m.Broadcast(2, testEnv(32)) })
 	k.Run()
 	if len(rx.got) != 2 {
 		t.Fatalf("receiver got %d messages, want 2", len(rx.got))
@@ -223,8 +218,8 @@ func TestCollisionsDisabledByDefault(t *testing.T) {
 	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
 	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
-	m.BroadcastMessage(0, testMsg{size: 32})
-	m.BroadcastMessage(2, testMsg{size: 32})
+	m.Broadcast(0, testEnv(32))
+	m.Broadcast(2, testEnv(32))
 	k.Run()
 	if len(rx.got) != 2 {
 		t.Errorf("got %d, want 2 without collision modelling", len(rx.got))
@@ -292,7 +287,7 @@ func TestMediumPanics(t *testing.T) {
 	})
 	mustPanic("unregistered sender", func() {
 		m := NewMedium(k, geom.R(0, 0, 1, 1), energy.Telos(), UnitDisk{Range: 1}, st)
-		m.BroadcastMessage(5, testMsg{size: 1})
+		m.Broadcast(5, testEnv(1))
 	})
 }
 
@@ -301,11 +296,11 @@ func TestBroadcastAfterLateAdd(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
 	a := &sink{listening: true, k: k}
 	m.AddNode(0, geom.V(0, 0), a, nil)
-	m.BroadcastMessage(0, testMsg{size: 8})
+	m.Broadcast(0, testEnv(8))
 	k.Run()
 	b := &sink{listening: true, k: k}
 	m.AddNode(1, geom.V(5, 0), b, nil)
-	m.BroadcastMessage(0, testMsg{size: 8})
+	m.Broadcast(0, testEnv(8))
 	k.Run()
 	if len(b.got) != 1 {
 		t.Errorf("late-added node got %d messages", len(b.got))
@@ -339,7 +334,7 @@ func TestQuickDeliveryCountsConsistent(t *testing.T) {
 			m.AddNode(NodeID(i), geom.V(float64(positions[i]%200), 0), sinks[i], nil)
 		}
 		inRange := len(m.NeighborIDs(0))
-		m.BroadcastMessage(0, testMsg{size: 16})
+		m.Broadcast(0, testEnv(16))
 		k.Run()
 		st2 := m.Stats()
 		return st2.Delivered+st2.DroppedLoss+st2.DroppedSleeping == inRange
@@ -358,8 +353,8 @@ func TestCSMADefersWhenBusy(t *testing.T) {
 	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
 	// Two back-to-back transmissions: the second senses the first and
 	// defers, so BOTH deliver (contrast with the collision test).
-	m.BroadcastMessage(0, testMsg{size: 64, tag: "a"})
-	m.BroadcastMessage(2, testMsg{size: 64, tag: "b"})
+	m.Broadcast(0, testEnv(64))
+	m.Broadcast(2, testEnv(64))
 	k.Run()
 	if len(rx.got) != 2 {
 		t.Fatalf("receiver got %d messages, want 2 via CSMA", len(rx.got))
@@ -387,8 +382,8 @@ func TestCSMAPlusCollisionsAvoidsLoss(t *testing.T) {
 	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
 	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
-	m.BroadcastMessage(0, testMsg{size: 64, tag: "a"})
-	m.BroadcastMessage(2, testMsg{size: 64, tag: "b"})
+	m.Broadcast(0, testEnv(64))
+	m.Broadcast(2, testEnv(64))
 	k.Run()
 	if len(rx.got) != 2 {
 		t.Fatalf("got %d messages, want 2 (CSMA should serialize)", len(rx.got))
@@ -406,8 +401,8 @@ func TestCSMAGivesUpAfterMaxAttempts(t *testing.T) {
 	m.AddNode(1, geom.V(10, 0), rx, nil)
 	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
 	// A huge frame occupies the channel far longer than 2 tiny backoffs.
-	m.BroadcastMessage(0, testMsg{size: 2000, tag: "hog"})
-	m.BroadcastMessage(2, testMsg{size: 16, tag: "loser"})
+	m.Broadcast(0, testEnv(2000))
+	m.Broadcast(2, testEnv(16))
 	k.Run()
 	st := m.Stats()
 	if st.CSMAGaveUp == 0 {
@@ -427,8 +422,8 @@ func TestCSMASleepingSenderAbandons(t *testing.T) {
 	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
 	m.AddNode(2, geom.V(20, 0), sleeper, nil)
-	m.BroadcastMessage(0, testMsg{size: 500, tag: "long"})
-	m.BroadcastMessage(2, testMsg{size: 16, tag: "dropped"})
+	m.Broadcast(0, testEnv(500))
+	m.Broadcast(2, testEnv(16))
 	// The deferring sender falls asleep before its backoff expires.
 	sleeper.listening = false
 	k.Run()

@@ -232,7 +232,6 @@ func (m *Medium) FlushBoundary() {
 			}
 			d.rowPos = append(d.rowPos, b.rowPos...)
 			dm.kernel.InjectArgAt(b.at, seq, dm.deliverFn, d)
-			b.env = Envelope{} // do not retain KindExt payloads across windows
 		}
 		sh.out[dst] = entries[:0]
 		sh.outGen[dst] = 0

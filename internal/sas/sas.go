@@ -302,8 +302,7 @@ func (a *Agent) OnStimulusGone(n *node.Node) {
 
 // OnMessage implements node.Agent. The crucial SAS restriction lives here:
 // only covered nodes answer REQUESTs, so stimulus information never travels
-// beyond the front's one-hop neighbourhood. Boxed Request/Response arrive
-// through the KindExt fallback for hand-wired tests and extensions.
+// beyond the front's one-hop neighbourhood.
 func (a *Agent) OnMessage(n *node.Node, from radio.NodeID, env radio.Envelope) {
 	if a.live != nil {
 		a.live.Observe(from, n.Now())
@@ -313,13 +312,6 @@ func (a *Agent) OnMessage(n *node.Node, from radio.NodeID, env radio.Envelope) {
 		a.handleRequest(n)
 	case radio.KindResponse:
 		a.handleResponse(n, from, core.ResponseFromEnvelope(env))
-	case radio.KindExt:
-		switch m := env.Ext.(type) {
-		case core.Request:
-			a.handleRequest(n)
-		case core.Response:
-			a.handleResponse(n, from, m)
-		}
 	}
 }
 

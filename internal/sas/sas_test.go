@@ -12,6 +12,7 @@ import (
 	"repro/internal/predict"
 	"repro/internal/radio"
 	"repro/internal/rng"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -165,7 +166,7 @@ func TestScalarSpeedEstimate(t *testing.T) {
 }
 
 func TestSASNetworkDetectsEverything(t *testing.T) {
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	dep := deploy.ConnectedUniform(rng.NewSource(7).Stream("deploy"), sc.Field, 30, 10, 500)
 	cfg := DefaultConfig()
 	nw := node.BuildNetwork(node.NetworkConfig{
@@ -210,7 +211,7 @@ func TestPASBeatsSASOnDelay(t *testing.T) {
 	var pasSum, sasSum float64
 	seeds := []int64{3, 5, 7, 11, 13, 17, 19, 23}
 	for _, seed := range seeds {
-		sc := diffusion.PaperScenario()
+		sc := paperScenario(t)
 		dep := deploy.ConnectedUniform(rng.NewSource(seed).Stream("deploy"), sc.Field, 30, 10, 500)
 		run := func(agents func(radio.NodeID) node.Agent) float64 {
 			nw := node.BuildNetwork(node.NetworkConfig{
@@ -359,4 +360,15 @@ func TestSASZeroStagger(t *testing.T) {
 	if got == 0 {
 		t.Error("no synchronous response")
 	}
+}
+
+// paperScenario builds the registry's paper workload (Figs. 4-7).
+func paperScenario(t *testing.T) diffusion.Scenario {
+	t.Helper()
+	sp, _ := scenario.Lookup("paper")
+	sc, err := sp.BuildStimulus(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }

@@ -84,7 +84,7 @@ func All() []Scenario {
 				Bounds:    paperField,
 				BaseSpeed: 0.6,
 				// Slow horizontal band across y∈[18,24] with a gap at the
-				// right edge, as in diffusion.TerrainScenario.
+				// right edge.
 				Patches: []SpeedPatch{{Rect: geom.R(0, 18, 32, 24), Speed: 0.15}},
 				Source:  geom.V(6, 6),
 				Start:   10,

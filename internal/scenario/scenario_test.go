@@ -36,6 +36,13 @@ func TestRegistryValidatesAndBuilds(t *testing.T) {
 		}
 		if ds.Stimulus == nil || ds.Name != sp.Name || ds.Horizon != sp.Horizon {
 			t.Errorf("%s: malformed diffusion scenario %+v", sp.Name, ds)
+			continue
+		}
+		// Every front crosses the field centre within the horizon, except
+		// the quiet surveillance workload, where nothing arrives at all.
+		a := ds.Stimulus.ArrivalTime(ds.Field.Center())
+		if reached := a <= ds.Horizon; reached != (sp.Name != "quiet") {
+			t.Errorf("%s: field centre arrival %g against horizon %g", sp.Name, a, ds.Horizon)
 		}
 	}
 }
@@ -51,41 +58,6 @@ func TestLookup(t *testing.T) {
 	names := Names()
 	if len(names) != len(All()) || names[0] != "paper" {
 		t.Errorf("names = %v", names)
-	}
-}
-
-// TestRegistryMatchesLegacyScenarios pins that the declarative specs rebuild
-// the historical diffusion scenarios: same field, horizon and ground-truth
-// arrival times over a sample grid (names differ by design: registry keys are
-// the CLI names).
-func TestRegistryMatchesLegacyScenarios(t *testing.T) {
-	legacy := map[string]diffusion.Scenario{
-		"paper":     diffusion.PaperScenario(),
-		"irregular": diffusion.IrregularScenario(7),
-		"gasleak":   diffusion.GasLeakScenario(),
-		"twinspill": diffusion.TwinSpillScenario(),
-		"passing":   diffusion.PassingPlumeScenario(),
-		"quiet":     diffusion.QuietScenario(),
-	}
-	for name, want := range legacy {
-		sp, ok := Lookup(name)
-		if !ok {
-			t.Fatalf("registry lost scenario %q", name)
-		}
-		got, err := sp.BuildStimulus(7)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.Field != want.Field || got.Horizon != want.Horizon {
-			t.Errorf("%s: field/horizon drifted: got %v/%g want %v/%g",
-				name, got.Field, got.Horizon, want.Field, want.Horizon)
-		}
-		for _, p := range []geom.Vec2{geom.V(1, 1), geom.V(10, 20), geom.V(33, 7), geom.V(20, 38)} {
-			ga, wa := got.Stimulus.ArrivalTime(p), want.Stimulus.ArrivalTime(p)
-			if ga != wa && !(math.IsInf(ga, 1) && math.IsInf(wa, 1)) {
-				t.Errorf("%s: arrival at %v drifted: got %g want %g", name, p, ga, wa)
-			}
-		}
 	}
 }
 

@@ -153,7 +153,7 @@ func (e EikonalSpec) terrainConfig() diffusion.TerrainConfig {
 
 // Build compiles the spec into a queryable front model. Only the anisotropic
 // kind consumes randomness; it draws its harmonics from the seed's dedicated
-// stream, matching the historical IrregularScenario derivation.
+// "anisotropic-front" stream.
 func (s StimulusSpec) Build(seed int64) (diffusion.FrontModel, error) {
 	return s.build(seed, -1)
 }

@@ -89,8 +89,6 @@ type Kernel struct {
 	lastSeq uint64
 	// processed counts events executed, for diagnostics and benchmarks.
 	processed uint64
-	// tracer, when non-nil, observes every executed event.
-	tracer func(at Time)
 	// ws, when non-nil, makes this kernel one shard of a ShardGroup: sequence
 	// numbers come from the group's serial-order reconstruction instead of
 	// the local counter (see window.go). Nil for ordinary serial kernels, so
@@ -116,10 +114,6 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of live events in the queue.
 func (k *Kernel) Pending() int { return k.live }
-
-// SetTracer installs a callback invoked with the timestamp of every executed
-// event; pass nil to disable.
-func (k *Kernel) SetTracer(f func(at Time)) { k.tracer = f }
 
 // claimSlot claims an arena slot for an event at the given time; the caller
 // assigns the sequence number and handler fields, then links it into the
@@ -250,9 +244,6 @@ func (k *Kernel) Step() bool {
 		k.live--
 		k.now = at
 		k.processed++
-		if k.tracer != nil {
-			k.tracer(at)
-		}
 		if k.ws != nil {
 			// Sharded mode: record the execution key so events this handler
 			// schedules can be ordered exactly as the serial kernel would.
@@ -298,32 +289,6 @@ func (k *Kernel) Run() Time {
 	for k.Step() {
 	}
 	return k.now
-}
-
-// Ticker schedules h every period, starting one period from now, until the
-// returned stop function is called. The handler runs strictly periodically in
-// virtual time.
-func (k *Kernel) Ticker(period Time, h Handler) (stop func()) {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: ticker period must be positive, got %v", period))
-	}
-	stopped := false
-	var tick Handler
-	var id EventID
-	tick = func(kk *Kernel) {
-		if stopped {
-			return
-		}
-		h(kk)
-		if !stopped {
-			id = kk.Schedule(period, tick)
-		}
-	}
-	id = k.Schedule(period, tick)
-	return func() {
-		stopped = true
-		k.Cancel(id)
-	}
 }
 
 // --- 4-ary heap over arena slots ---

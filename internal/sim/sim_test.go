@@ -178,59 +178,6 @@ func TestHorizonPastPanics(t *testing.T) {
 	k.RunUntil(5)
 }
 
-func TestTicker(t *testing.T) {
-	k := NewKernel()
-	var ticks []Time
-	stop := k.Ticker(2, func(k *Kernel) { ticks = append(ticks, k.Now()) })
-	k.Schedule(7, func(*Kernel) { stop() })
-	k.Run()
-	want := []Time{2, 4, 6}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v", ticks)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-}
-
-func TestTickerStopIdempotent(t *testing.T) {
-	k := NewKernel()
-	stop := k.Ticker(1, func(*Kernel) {})
-	stop()
-	stop() // must not panic
-	k.RunUntil(5)
-	if k.Processed() != 0 {
-		t.Errorf("stopped ticker still ran %d events", k.Processed())
-	}
-}
-
-func TestTickerZeroPeriodPanics(t *testing.T) {
-	k := NewKernel()
-	defer func() {
-		if recover() == nil {
-			t.Error("zero ticker period did not panic")
-		}
-	}()
-	k.Ticker(0, func(*Kernel) {})
-}
-
-func TestTracer(t *testing.T) {
-	k := NewKernel()
-	var seen []Time
-	k.SetTracer(func(at Time) { seen = append(seen, at) })
-	k.Schedule(1, func(*Kernel) {})
-	k.Schedule(2, func(*Kernel) {})
-	k.Run()
-	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
-		t.Errorf("tracer saw %v", seen)
-	}
-	k.SetTracer(nil)
-	k.Schedule(1, func(*Kernel) {})
-	k.Run() // must not panic
-}
-
 func TestTimer(t *testing.T) {
 	k := NewKernel()
 	tm := NewTimer(k)
@@ -445,22 +392,6 @@ func TestQuickRunUntilChunkingEquivalent(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickTickerCountMatchesPeriod(t *testing.T) {
-	f := func(rawPeriod uint8, rawHorizon uint8) bool {
-		period := Time(rawPeriod%20) + 1
-		horizon := Time(rawHorizon) + 1
-		k := NewKernel()
-		count := 0
-		k.Ticker(period, func(*Kernel) { count++ })
-		k.RunUntil(horizon)
-		want := int(horizon / period)
-		return count == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

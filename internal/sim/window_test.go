@@ -219,11 +219,12 @@ func TestArenaSlotGuard(t *testing.T) {
 // TestHeapStressTenMillionPending fills the queue to ~10^7 simultaneously
 // pending events — the regime a sharded scale-1m run reaches — and drains it,
 // checking the (time, seq) order invariant the whole simulator rests on.
+// Under -race the depth is 2^20 (stress_race_test.go).
 func TestHeapStressTenMillionPending(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10^7-event heap stress skipped in short mode")
 	}
-	const n = 10_000_000
+	const n = heapStressPending
 	k := NewKernel()
 	rng := rand.New(rand.NewSource(41))
 	var (

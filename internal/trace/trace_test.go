@@ -13,11 +13,12 @@ import (
 	"repro/internal/geom"
 	"repro/internal/node"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 )
 
 func buildPASNet(t *testing.T) (*node.Network, diffusion.Scenario) {
 	t.Helper()
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	dep := deploy.Grid(nil, sc.Field, 5, 5, 0)
 	nw := node.BuildNetwork(node.NetworkConfig{
 		Deployment: dep,
@@ -111,7 +112,7 @@ func TestStateLog(t *testing.T) {
 
 func TestGlyphForBaseline(t *testing.T) {
 	// NS nodes are awake and safe before the front: glyph 's'.
-	sc := diffusion.PaperScenario()
+	sc := paperScenario(t)
 	dep := deploy.Grid(nil, sc.Field, 2, 2, 0)
 	nw := node.BuildNetwork(node.NetworkConfig{
 		Deployment: dep,
@@ -126,4 +127,15 @@ func TestGlyphForBaseline(t *testing.T) {
 		t.Error("awake safe nodes not rendered")
 	}
 	_ = geom.Vec2{}
+}
+
+// paperScenario builds the registry's paper workload (Figs. 4-7).
+func paperScenario(t *testing.T) diffusion.Scenario {
+	t.Helper()
+	sp, _ := scenario.Lookup("paper")
+	sc, err := sp.BuildStimulus(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }

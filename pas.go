@@ -9,7 +9,7 @@
 //
 // # Quick start
 //
-//	sc := pas.PaperScenario()
+//	sc, _ := pas.ScenarioByName("paper", 1)
 //	report, err := pas.Run(pas.RunConfig{
 //		Scenario: sc,
 //		Protocol: pas.ProtoPAS,
@@ -216,10 +216,9 @@
 //     ascending ID order with precomputed link distances) and every
 //     broadcast walks one flat row instead of scanning hash buckets.
 //     Delivery is batched: each broadcast is ONE kernel event fanning out
-//     from a pooled delivery record sized exactly to its CSR row, and
-//     protocol traffic travels as a value-dispatch radio.Envelope (a small
-//     tagged union) with the boxed Message interface kept as a KindExt slow
-//     path. A full broadcast→delivery cycle — including a nested
+//     from a pooled delivery record sized exactly to its CSR row, and every
+//     message travels as a value-dispatch radio.Envelope (a small
+//     pointer-free tagged union). A full broadcast→delivery cycle — including a nested
 //     rebroadcast from inside a delivery — allocates nothing
 //     (BenchmarkBroadcastDeliver and the radio alloc tests pin 0
 //     allocs/op). AddNode after the freeze recompiles the topology on the
@@ -458,34 +457,6 @@ func Experiments() []Experiment { return experiment.All() }
 // LookupExperiment finds a registry entry by ID (e.g. "fig4").
 func LookupExperiment(id string) (Experiment, bool) { return experiment.Lookup(id) }
 
-// Scenario constructors.
-
-// PaperScenario is the radial-pollutant workload of the paper's Figs. 4–7.
-func PaperScenario() Scenario { return diffusion.PaperScenario() }
-
-// IrregularScenario is the paper workload with an anisotropic (Fig. 2-style
-// irregular) front.
-func IrregularScenario(seed int64) Scenario { return diffusion.IrregularScenario(seed) }
-
-// GasLeakScenario is an emergent advected release (paper §3.4 discussion).
-func GasLeakScenario() Scenario { return diffusion.GasLeakScenario() }
-
-// PlumeScenario integrates an advection–diffusion PDE plume (slower to
-// build; numerically irregular front).
-func PlumeScenario() (Scenario, error) { return diffusion.PlumeScenario() }
-
-// TwinSpillScenario is a two-source union stimulus.
-func TwinSpillScenario() Scenario { return diffusion.TwinSpillScenario() }
-
-// TerrainScenario is a heterogeneous-terrain front: the local spread speed
-// varies over the field and the ground truth solves the eikonal equation by
-// fast marching (slower to build).
-func TerrainScenario() (Scenario, error) { return diffusion.TerrainScenario() }
-
-// QuietScenario has no stimulus within the horizon — the surveillance-
-// lifetime workload.
-func QuietScenario() Scenario { return diffusion.QuietScenario() }
-
 // Declarative scenario specs (the scenario registry).
 type (
 	// ScenarioSpec is a declarative, JSON-serializable workload: deployment
@@ -633,10 +604,6 @@ func ScenarioByName(name string, seed int64) (Scenario, error) {
 	}
 	return sp.BuildStimulus(seed)
 }
-
-// PassingPlumeScenario is a receding stimulus (finite dwell), driving the
-// covered→safe transition.
-func PassingPlumeScenario() Scenario { return diffusion.PassingPlumeScenario() }
 
 // Stimulus constructors for custom scenarios.
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	sc := pas.PaperScenario()
+	sc := mustScenario(t, "paper")
 	report, err := pas.Run(pas.RunConfig{Scenario: sc, Protocol: pas.ProtoPAS, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestExperimentRegistryFlow(t *testing.T) {
 }
 
 func TestHandWiredNetwork(t *testing.T) {
-	sc := pas.PaperScenario()
+	sc := mustScenario(t, "paper")
 	dep := pas.UniformDeployment(7, sc.Field, 30, 10, 500)
 	nw := pas.BuildNetwork(pas.NetworkConfig{
 		Deployment: dep,
@@ -112,35 +112,8 @@ func TestCustomStimulusAndAgents(t *testing.T) {
 	}
 }
 
-func TestScenarioConstructors(t *testing.T) {
-	for _, sc := range []pas.Scenario{
-		pas.PaperScenario(),
-		pas.IrregularScenario(3),
-		pas.GasLeakScenario(),
-		pas.TwinSpillScenario(),
-		pas.PassingPlumeScenario(),
-		pas.QuietScenario(),
-	} {
-		if sc.Stimulus == nil || sc.Horizon <= 0 {
-			t.Errorf("scenario %q malformed", sc.Name)
-		}
-	}
-	for name, build := range map[string]func() (pas.Scenario, error){
-		"plume":   pas.PlumeScenario,
-		"terrain": pas.TerrainScenario,
-	} {
-		sc, err := build()
-		if err != nil || sc.Stimulus == nil {
-			t.Errorf("%s scenario: %v", name, err)
-		}
-	}
-}
-
 func TestScenarioByName(t *testing.T) {
 	for _, name := range pas.ScenarioNames() {
-		if name == "plume" || name == "terrain" {
-			continue // exercised separately; slow to build
-		}
 		sc, err := pas.ScenarioByName(name, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -205,7 +178,7 @@ func TestScenarioSpecPublicAPI(t *testing.T) {
 }
 
 func TestContourPublicAPI(t *testing.T) {
-	sc := pas.PaperScenario()
+	sc := mustScenario(t, "paper")
 	dep := pas.GridDeployment(1, sc.Field, 5, 5, 0)
 	nw := pas.BuildNetwork(pas.NetworkConfig{
 		Deployment: dep,
@@ -228,7 +201,7 @@ func TestContourPublicAPI(t *testing.T) {
 
 func TestBatteryPublicAPI(t *testing.T) {
 	rep, err := pas.Run(pas.RunConfig{
-		Scenario: pas.QuietScenario(), Protocol: pas.ProtoNS, Seed: 1, BatteryJ: 0.41,
+		Scenario: mustScenario(t, "quiet"), Protocol: pas.ProtoNS, Seed: 1, BatteryJ: 0.41,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,4 +212,14 @@ func TestBatteryPublicAPI(t *testing.T) {
 	if math.Abs(rep.FirstDeath-10) > 1e-6 {
 		t.Errorf("FirstDeath = %v, want 10", rep.FirstDeath)
 	}
+}
+
+// mustScenario resolves a registry workload through the public API.
+func mustScenario(t *testing.T, name string) pas.Scenario {
+	t.Helper()
+	sc, err := pas.ScenarioByName(name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
 }
