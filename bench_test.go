@@ -498,8 +498,7 @@ func BenchmarkScale100k(b *testing.B) {
 // BenchmarkScale100kSerial is the 1-shard comparison point for
 // BenchmarkScale100k: the same workload on one kernel, which is serial
 // execution (no goroutine, no barrier). The gap between the two is the
-// speedup. Deliberately not in the benchcheck baseline — it exists for the
-// ratio, not for drift tracking.
+// speedup.
 func BenchmarkScale100kSerial(b *testing.B) {
 	benchScale100k(b, 1)
 }
@@ -666,37 +665,6 @@ func BenchmarkPlumeBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := diffusion.NewGridPlume(cfg); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkServeCacheHit measures the steady-state cost of the simulation
-// service answering a repeated question: one full handler round-trip (JSON
-// decode, canonicalization, content-address derivation, result-store hit,
-// response write) with the simulation itself absorbed by the cache. This is
-// the number that makes passerve viable as a long-lived service — a cache
-// hit must cost microseconds, not the milliseconds of a simulation.
-func BenchmarkServeCacheHit(b *testing.B) {
-	srv, err := pas.NewServer(pas.ServeConfig{Version: "bench"})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	body := `{"name":"paper","seed":1}`
-	warm := httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body))
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, warm)
-	if rec.Code != http.StatusOK {
-		b.Fatalf("warmup status %d: %s", rec.Code, rec.Body)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body))
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, r)
-		if w.Header().Get("X-Cache") != "hit-mem" {
-			b.Fatal("expected a cache hit")
 		}
 	}
 }

@@ -80,7 +80,27 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	err := fs.Parse(args)
 	c.set = map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { c.set[f.Name] = true })
+	if err == nil {
+		if err = c.checkBounds(); err != nil {
+			fmt.Fprintf(stderr, "passim: %v\n", err)
+		}
+	}
 	return c, err
+}
+
+// checkBounds holds the numeric flags to the bounds a scenario spec
+// enforces, so an out-of-range value is a usage error instead of a panic or
+// a silently different run.
+func (c config) checkBounds() error {
+	switch {
+	case c.nodes <= 0:
+		return fmt.Errorf("-nodes %d must be positive", c.nodes)
+	case !(c.lossProb >= 0 && c.lossProb < 1):
+		return fmt.Errorf("-loss %g outside [0, 1)", c.lossProb)
+	case c.reps < 1:
+		return fmt.Errorf("-reps %d must be at least 1", c.reps)
+	}
+	return nil
 }
 
 // loadScenario resolves the -scenario / -scenario-file selection.

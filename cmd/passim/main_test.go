@@ -239,17 +239,35 @@ func TestFailFlagReachesConfig(t *testing.T) {
 	}
 }
 
-// TestOutOfRangeFailFlagIsCleanError pins that -fail outside [0, 1] exits 1
-// with the spec's wording instead of a slice-bounds panic (above 1) or a
-// silent fault-free run (below 0).
+// TestOutOfRangeFailFlagIsCleanError pins that out-of-range run inputs are
+// clean errors instead of panics or silently different runs. -fail outside
+// [0, 1] exits 1 with the spec's wording (it used to panic on a slice bound
+// above 1 and run fault-free below 0), as does -shards -1 (it used to run one
+// kernel). -nodes, -loss and -reps outside their bounds are usage errors,
+// exit 2: -nodes -5 used to panic, -nodes 0 printed "nodes 0" over a 30-node
+// run, -loss 1.5 dropped every packet, -loss -0.5 ran the unit disk and
+// -reps below 1 ran one seed.
 func TestOutOfRangeFailFlagIsCleanError(t *testing.T) {
-	for _, frac := range []string{"1.5", "-0.2"} {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-fail", "1.5"}, 1, "passim: experiment: failure fraction 1.5 outside [0, 1]\n"},
+		{[]string{"-fail", "-0.2"}, 1, "passim: experiment: failure fraction -0.2 outside [0, 1]\n"},
+		{[]string{"-shards", "-1"}, 1, "passim: experiment: negative shard count -1\n"},
+		{[]string{"-nodes", "-5"}, 2, "passim: -nodes -5 must be positive\n"},
+		{[]string{"-nodes", "0"}, 2, "passim: -nodes 0 must be positive\n"},
+		{[]string{"-loss", "1.5"}, 2, "passim: -loss 1.5 outside [0, 1)\n"},
+		{[]string{"-loss", "-0.5"}, 2, "passim: -loss -0.5 outside [0, 1)\n"},
+		{[]string{"-reps", "0"}, 2, "passim: -reps 0 must be at least 1\n"},
+		{[]string{"-reps", "-2"}, 2, "passim: -reps -2 must be at least 1\n"},
+	} {
 		var stdout, stderr strings.Builder
-		code := run([]string{"-fail", frac}, &stdout, &stderr)
-		want := "passim: experiment: failure fraction " + frac + " outside [0, 1]\n"
-		if code != 1 || stderr.String() != want || stdout.Len() != 0 {
-			t.Errorf("-fail %s: exit %d, stdout %q, stderr %q; want exit 1 and %q",
-				frac, code, stdout.String(), stderr.String(), want)
+		code := run(tc.args, &stdout, &stderr)
+		if code != tc.code || stderr.String() != tc.want || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d and %q",
+				tc.args, code, stdout.String(), stderr.String(), tc.code, tc.want)
 		}
 	}
 }

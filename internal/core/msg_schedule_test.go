@@ -97,7 +97,7 @@ func TestQuickResponseRoundTrip(t *testing.T) {
 }
 
 func TestSleepScheduleRamp(t *testing.T) {
-	s := NewSleepSchedule(1, 2, 6)
+	s := MakeSleepSchedule(1, 2, 6)
 	want := []float64{1, 3, 5, 6, 6, 6}
 	for i, w := range want {
 		if got := s.Next(); got != w {
@@ -107,7 +107,7 @@ func TestSleepScheduleRamp(t *testing.T) {
 }
 
 func TestSleepScheduleCurrentAndReset(t *testing.T) {
-	s := NewSleepSchedule(2, 1, 4)
+	s := MakeSleepSchedule(2, 1, 4)
 	if s.Current() != 2 {
 		t.Errorf("initial Current = %v", s.Current())
 	}
@@ -128,14 +128,14 @@ func TestSleepScheduleCurrentAndReset(t *testing.T) {
 }
 
 func TestSleepScheduleInitAboveMax(t *testing.T) {
-	s := NewSleepSchedule(10, 1, 4)
+	s := MakeSleepSchedule(10, 1, 4)
 	if got := s.Next(); got != 4 {
 		t.Errorf("clamped first interval = %v", got)
 	}
 }
 
 func TestSleepScheduleZeroIncrement(t *testing.T) {
-	s := NewSleepSchedule(3, 0, 10)
+	s := MakeSleepSchedule(3, 0, 10)
 	for i := 0; i < 5; i++ {
 		if got := s.Next(); got != 3 {
 			t.Fatalf("constant schedule produced %v", got)
@@ -159,7 +159,7 @@ func TestSleepSchedulePanics(t *testing.T) {
 					t.Errorf("%s did not panic", c.name)
 				}
 			}()
-			NewSleepSchedule(c.init, c.inc, c.max)
+			MakeSleepSchedule(c.init, c.inc, c.max)
 		}()
 	}
 }
@@ -169,7 +169,7 @@ func TestQuickScheduleMonotoneBounded(t *testing.T) {
 		init := math.Abs(math.Mod(rawInit, 10)) + 0.1
 		inc := math.Abs(math.Mod(rawInc, 5))
 		max := math.Abs(math.Mod(rawMax, 50)) + 0.1
-		s := NewSleepSchedule(init, inc, max)
+		s := MakeSleepSchedule(init, inc, max)
 		prev := 0.0
 		for i := 0; i < int(steps%50)+1; i++ {
 			got := s.Next()

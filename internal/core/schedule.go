@@ -16,15 +16,8 @@ type SleepSchedule struct {
 	cur float64
 }
 
-// NewSleepSchedule validates and constructs a schedule.
-func NewSleepSchedule(init, increment, max float64) *SleepSchedule {
-	s := MakeSleepSchedule(init, increment, max)
-	return &s
-}
-
-// MakeSleepSchedule is the value-type constructor behind NewSleepSchedule,
-// for owners that embed the schedule instead of pointing at a heap-allocated
-// one.
+// MakeSleepSchedule validates and constructs a schedule, by value, so owners
+// embed it instead of pointing at a heap-allocated one.
 func MakeSleepSchedule(init, increment, max float64) SleepSchedule {
 	if init <= 0 || max <= 0 || increment < 0 {
 		panic(fmt.Sprintf("core: invalid sleep schedule init=%g inc=%g max=%g", init, increment, max))

@@ -7,7 +7,6 @@ package deploy
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geom"
 	"repro/internal/rng"
@@ -162,28 +161,6 @@ func (d *Deployment) Connected(radius float64) bool {
 		}
 	}
 	return true
-}
-
-// DegreeStats returns the min, mean and max neighbour count at the given
-// radius.
-func (d *Deployment) DegreeStats(radius float64) (min int, mean float64, max int) {
-	lists := d.NeighborLists(radius)
-	if len(lists) == 0 {
-		return 0, 0, 0
-	}
-	min = math.MaxInt
-	total := 0
-	for _, l := range lists {
-		deg := len(l)
-		total += deg
-		if deg < min {
-			min = deg
-		}
-		if deg > max {
-			max = deg
-		}
-	}
-	return min, float64(total) / float64(len(lists)), max
 }
 
 // ConnectedUniform draws uniform deployments until one is connected at the

@@ -211,25 +211,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestDegreeStats(t *testing.T) {
-	d := &Deployment{
-		Field:     geom.R(0, 0, 100, 10),
-		Positions: []geom.Vec2{geom.V(0, 0), geom.V(5, 0), geom.V(10, 0)},
-	}
-	min, mean, max := d.DegreeStats(6)
-	if min != 1 || max != 2 {
-		t.Errorf("min/max = %d/%d", min, max)
-	}
-	// Degrees are 1, 2, 1 → mean 4/3.
-	if mean < 1.33 || mean > 1.34 {
-		t.Errorf("mean = %v", mean)
-	}
-	empty := &Deployment{}
-	if a, b, c := empty.DegreeStats(5); a != 0 || b != 0 || c != 0 {
-		t.Error("empty degree stats nonzero")
-	}
-}
-
 func TestConnectedUniform(t *testing.T) {
 	// 30 nodes at 10 m range connect with ~20% probability per draw on a
 	// 40x40 field, so a few hundred attempts virtually always succeed.

@@ -49,33 +49,6 @@ type FrontModel interface {
 	Boundary(t float64, n int) []geom.Vec2
 }
 
-// CoverageFraction samples the fraction of the given points covered at time
-// t; the experiment harness uses it for sanity reporting.
-func CoverageFraction(s Stimulus, pts []geom.Vec2, t float64) float64 {
-	if len(pts) == 0 {
-		return 0
-	}
-	n := 0
-	for _, p := range pts {
-		if s.Covered(p, t) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(pts))
-}
-
-// EarliestArrival returns the minimum ground-truth arrival time over the
-// given points (+Inf if none are ever covered).
-func EarliestArrival(s Stimulus, pts []geom.Vec2) float64 {
-	min := Never()
-	for _, p := range pts {
-		if a := s.ArrivalTime(p); a < min {
-			min = a
-		}
-	}
-	return min
-}
-
 // grownCovered is the shared Covered implementation for monotonically
 // growing stimuli.
 func grownCovered(s Stimulus, p geom.Vec2, t float64) bool {

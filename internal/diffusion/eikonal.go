@@ -210,12 +210,3 @@ func solveEikonal(tx, ty, dx, dy, v float64) float64 {
 		return math.Inf(1)
 	}
 }
-
-// SpeedAtPoint returns the sampled per-cell speed at q (0 outside bounds).
-func (f *TerrainFront) SpeedAtPoint(q geom.Vec2) float64 {
-	if !f.cfg.Bounds.Contains(q) {
-		return 0
-	}
-	i, j := f.grid.Cell(q)
-	return f.speed[f.grid.Index(i, j)]
-}

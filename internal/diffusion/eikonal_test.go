@@ -124,13 +124,6 @@ func TestTerrainSlowBandDelaysFront(t *testing.T) {
 	if math.IsInf(f.ArrivalTime(geom.V(10, 21)), 1) {
 		t.Error("slow band unreachable")
 	}
-	// Speed sampling is exposed.
-	if s := f.SpeedAtPoint(geom.V(10, 21)); s != 0.15 {
-		t.Errorf("band speed = %v", s)
-	}
-	if s := f.SpeedAtPoint(geom.V(-5, 0)); s != 0 {
-		t.Errorf("outside speed = %v", s)
-	}
 }
 
 func TestTerrainBarrierBlocks(t *testing.T) {

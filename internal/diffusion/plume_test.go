@@ -328,20 +328,3 @@ func TestRecedingPanics(t *testing.T) {
 	}()
 	NewReceding(NewRadialFront(geom.Zero, 1, 0), 0)
 }
-
-func TestCoverageHelpers(t *testing.T) {
-	f := NewRadialFront(geom.Zero, 1, 0)
-	pts := []geom.Vec2{geom.V(1, 0), geom.V(5, 0), geom.V(20, 0)}
-	if frac := CoverageFraction(f, pts, 6); !almost(frac, 2.0/3.0, 1e-12) {
-		t.Errorf("coverage = %v", frac)
-	}
-	if frac := CoverageFraction(f, nil, 6); frac != 0 {
-		t.Errorf("empty coverage = %v", frac)
-	}
-	if e := EarliestArrival(f, pts); !almost(e, 1, 1e-12) {
-		t.Errorf("earliest = %v", e)
-	}
-	if e := EarliestArrival(f, nil); !math.IsInf(e, 1) {
-		t.Errorf("empty earliest = %v", e)
-	}
-}

@@ -11,10 +11,7 @@
 // SAS nodes detect REQUEST/RESPONSE traffic.
 package energy
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Profile holds the hardware power characteristics of a sensor platform,
 // in the units the paper's Table 1 uses.
@@ -311,18 +308,4 @@ func (b Breakdown) DutyCycle() float64 {
 func (b Breakdown) String() string {
 	return fmt.Sprintf("total %.4g J (active %.4g, sleep %.4g, tx %.4g, wake %.4g; duty %.1f%%)",
 		b.Total(), b.ActiveJ, b.SleepJ, b.TxJ, b.WakeupJ, 100*b.DutyCycle())
-}
-
-// LifetimeDays estimates node lifetime in days for a battery of the given
-// capacity (joules) under the average draw implied by the breakdown over the
-// given horizon in seconds. Returns +Inf for a zero draw.
-func (b Breakdown) LifetimeDays(batteryJ, horizonSec float64) float64 {
-	if horizonSec <= 0 {
-		return 0
-	}
-	draw := b.Total() / horizonSec
-	if draw <= 0 {
-		return math.Inf(1)
-	}
-	return batteryJ / draw / 86400
 }

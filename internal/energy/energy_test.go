@@ -205,24 +205,6 @@ func TestBreakdownString(t *testing.T) {
 	}
 }
 
-func TestLifetime(t *testing.T) {
-	m := NewMeter(Telos(), 0, ModeActive)
-	m.Close(86400) // one day always-on
-	b := m.Breakdown()
-	// 2× AA ≈ 20 kJ. Draw = 41 mW → ~5.6 days.
-	days := b.LifetimeDays(20000, 86400)
-	if days < 5 || days > 6.5 {
-		t.Errorf("LifetimeDays = %v, want ~5.6", days)
-	}
-	if b.LifetimeDays(20000, 0) != 0 {
-		t.Error("zero horizon lifetime not 0")
-	}
-	var zero Breakdown
-	if !math.IsInf(zero.LifetimeDays(100, 10), 1) {
-		t.Error("zero-draw lifetime not +Inf")
-	}
-}
-
 func TestDutyCycleDegenerate(t *testing.T) {
 	var b Breakdown
 	if b.DutyCycle() != 0 {

@@ -52,10 +52,12 @@ func TestFromScenarioCompilesExtendedFaults(t *testing.T) {
 	}
 }
 
-// TestBuildRejectsOutOfRangeFailures pins that Build refuses what a spec's
-// validation refuses, in the same words: a failure fraction outside [0, 1]
-// (which used to panic on a slice bound above 1 and run fault-free below 0)
-// and a negative failure deadline.
+// TestBuildRejectsOutOfRangeFailures pins that Build refuses out-of-range
+// inputs with an error: a failure fraction outside [0, 1] (which used to
+// panic on a slice bound above 1 and run fault-free below 0) and a negative
+// failure deadline, in a spec's validation words; a negative node count
+// (which used to panic in makeslice); and a negative shard count (which used
+// to run one kernel silently).
 func TestBuildRejectsOutOfRangeFailures(t *testing.T) {
 	for _, tc := range []struct {
 		rc   RunConfig
@@ -65,6 +67,8 @@ func TestBuildRejectsOutOfRangeFailures(t *testing.T) {
 		{RunConfig{FailFraction: -0.2}, "failure fraction -0.2 outside [0, 1]"},
 		{RunConfig{FailFraction: math.NaN()}, "failure fraction NaN outside [0, 1]"},
 		{RunConfig{FailFraction: 0.1, FailBy: -1}, "negative failure deadline -1"},
+		{RunConfig{Nodes: -5}, "negative node count -5"},
+		{RunConfig{Shards: -1}, "negative shard count -1"},
 	} {
 		if _, _, err := Build(tc.rc); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("Build(%+v) error = %v, want %q", tc.rc, err, tc.want)

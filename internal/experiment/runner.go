@@ -35,7 +35,8 @@ const (
 type RunConfig struct {
 	// Scenario supplies the field, stimulus and horizon.
 	Scenario diffusion.Scenario
-	// Nodes is the deployment size (the paper uses 30).
+	// Nodes is the deployment size (0 = the paper's 30). Build rejects a
+	// negative count.
 	Nodes int
 	// Range is the transmission range in metres (the paper uses 10).
 	Range float64
@@ -75,8 +76,9 @@ type RunConfig struct {
 	// serial execution and accepts every config. Two or more advance under
 	// conservative time windows and require a deterministic transmit path —
 	// exact unit-disk loss, no collisions, no CSMA, no extended fault plan —
-	// or return an error (Shardable reports why). Output is bit-identical at
-	// any shard count; only wall-clock time changes.
+	// or return an error (Shardable reports why), as does a negative count.
+	// Output is bit-identical at any shard count; only wall-clock time
+	// changes.
 	Shards int
 }
 
@@ -151,6 +153,9 @@ func (rc RunConfig) agents() (func(radio.NodeID) node.Agent, error) {
 // count cannot change them.
 func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 	rc = rc.Defaults()
+	if rc.Nodes < 0 {
+		return nil, rc, fmt.Errorf("experiment: negative node count %d", rc.Nodes)
+	}
 	if err := Shardable(rc); err != nil {
 		return nil, rc, err
 	}

@@ -15,14 +15,17 @@ import (
 var minWireBytes = core.Request{}.Size()
 
 // Shardable reports whether the (defaulted) config can run on rc.Shards
-// kernels, and the first reason it cannot. One shard (Shards 0 or 1) is
-// serial execution and accepts every config. Two or more require a transmit
-// path free of shared randomness and cross-shard receiver state at transmit
-// time: exact unit-disk loss, no collision modelling, no CSMA, no extended
-// fault plan. Battery budgets and legacy FailFraction crashes are fine —
-// both are construction-time effects that draw their randomness before the
-// shards start running.
+// kernels, and the first reason it cannot. A negative count is an error.
+// One shard (Shards 0 or 1) is serial execution and accepts every config.
+// Two or more require a transmit path free of shared randomness and
+// cross-shard receiver state at transmit time: exact unit-disk loss, no
+// collision modelling, no CSMA, no extended fault plan. Battery budgets and
+// legacy FailFraction crashes are fine — both are construction-time effects
+// that draw their randomness before the shards start running.
 func Shardable(rc RunConfig) error {
+	if rc.Shards < 0 {
+		return fmt.Errorf("experiment: negative shard count %d", rc.Shards)
+	}
 	if rc.Shards < 2 {
 		return nil
 	}

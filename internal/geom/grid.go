@@ -65,11 +65,6 @@ func (g *Grid) Center(i, j int) Vec2 {
 	}
 }
 
-// InRange reports whether (i, j) is a valid cell index.
-func (g *Grid) InRange(i, j int) bool {
-	return i >= 0 && i < g.NX && j >= 0 && j < g.NY
-}
-
 // Bilinear interpolates a cell-centered scalar field at point p. The field
 // must have length NX*NY. Points outside the lattice of cell centers clamp to
 // the border value.

@@ -39,49 +39,6 @@ func (p Polyline) ClosestPoint(q Vec2) (Vec2, float64, int) {
 	return best, bestD, bestI
 }
 
-// Resample returns n points spaced uniformly by arc length along the
-// polyline. n must be at least 2 and the polyline non-empty; degenerate
-// inputs return a copy of what is available.
-func (p Polyline) Resample(n int) Polyline {
-	if len(p) == 0 || n <= 0 {
-		return nil
-	}
-	if len(p) == 1 || n == 1 {
-		return Polyline{p[0]}
-	}
-	total := p.Length()
-	if total == 0 {
-		out := make(Polyline, n)
-		for i := range out {
-			out[i] = p[0]
-		}
-		return out
-	}
-	out := make(Polyline, 0, n)
-	step := total / float64(n-1)
-	out = append(out, p[0])
-	seg := 1
-	acc := 0.0
-	for i := 1; i < n-1; i++ {
-		target := float64(i) * step
-		for seg < len(p) {
-			segLen := p[seg-1].Dist(p[seg])
-			if acc+segLen >= target || seg == len(p)-1 {
-				t := 0.0
-				if segLen > 0 {
-					t = Clamp((target-acc)/segLen, 0, 1)
-				}
-				out = append(out, p[seg-1].Lerp(p[seg], t))
-				break
-			}
-			acc += segLen
-			seg++
-		}
-	}
-	out = append(out, p[len(p)-1])
-	return out
-}
-
 // Polygon is a closed simple polygon; the edge from the last vertex back to
 // the first is implicit.
 type Polygon []Vec2
@@ -96,30 +53,6 @@ func (pg Polygon) Area() float64 {
 		a += pg[i].Cross(pg[j])
 	}
 	return a / 2
-}
-
-// Centroid returns the area centroid of the polygon. Degenerate polygons
-// (zero area) return the vertex mean.
-func (pg Polygon) Centroid() Vec2 {
-	a := pg.Area()
-	if a == 0 {
-		var m Vec2
-		if len(pg) == 0 {
-			return m
-		}
-		for _, v := range pg {
-			m = m.Add(v)
-		}
-		return m.Scale(1 / float64(len(pg)))
-	}
-	var c Vec2
-	n := len(pg)
-	for i := 0; i < n; i++ {
-		j := (i + 1) % n
-		w := pg[i].Cross(pg[j])
-		c = c.Add(pg[i].Add(pg[j]).Scale(w))
-	}
-	return c.Scale(1 / (6 * a))
 }
 
 // Contains reports whether p lies inside the polygon using the even-odd
@@ -137,16 +70,6 @@ func (pg Polygon) Contains(p Vec2) bool {
 		}
 	}
 	return inside
-}
-
-// Perimeter returns the closed boundary length of the polygon.
-func (pg Polygon) Perimeter() float64 {
-	var l float64
-	n := len(pg)
-	for i := 0; i < n; i++ {
-		l += pg[i].Dist(pg[(i+1)%n])
-	}
-	return l
 }
 
 // ConvexHull returns the convex hull of the given points in counter-clockwise
@@ -193,5 +116,3 @@ func ConvexHull(pts []Vec2) Polygon {
 	}
 	return Polygon(hull[:len(hull)-1])
 }
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }

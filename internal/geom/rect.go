@@ -20,11 +20,6 @@ func R(x0, y0, x1, y1 float64) Rect {
 	return Rect{Min: Vec2{x0, y0}, Max: Vec2{x1, y1}}
 }
 
-// Square returns the square with the given lower-left corner and side length.
-func Square(min Vec2, side float64) Rect {
-	return Rect{Min: min, Max: min.Add(Vec2{side, side})}
-}
-
 // Width returns the horizontal extent of r.
 func (r Rect) Width() float64 { return r.Max.X - r.Min.X }
 
@@ -54,20 +49,6 @@ func (r Rect) ClampPoint(p Vec2) Vec2 {
 func (r Rect) Expand(d float64) Rect {
 	return R(r.Min.X-d, r.Min.Y-d, r.Max.X+d, r.Max.Y+d)
 }
-
-// Corners returns the four corners in counter-clockwise order starting at Min.
-func (r Rect) Corners() [4]Vec2 {
-	return [4]Vec2{
-		r.Min,
-		{r.Max.X, r.Min.Y},
-		r.Max,
-		{r.Min.X, r.Max.Y},
-	}
-}
-
-// Diagonal returns the length of the rectangle's diagonal, an upper bound on
-// the distance between any two contained points.
-func (r Rect) Diagonal() float64 { return r.Min.Dist(r.Max) }
 
 // String implements fmt.Stringer.
 func (r Rect) String() string {

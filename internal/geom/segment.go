@@ -32,77 +32,6 @@ func (s Segment) Dist(p Vec2) float64 {
 	return q.Dist(p)
 }
 
-// Midpoint returns the midpoint of s.
-func (s Segment) Midpoint() Vec2 { return s.Point(0.5) }
-
 // Normal returns the unit normal of the segment (90° counter-clockwise from
 // the direction A→B). A degenerate segment yields the zero vector.
 func (s Segment) Normal() Vec2 { return s.Dir().Perp().Normalize() }
-
-// Intersect reports whether segments s and o properly intersect (including
-// touching endpoints) and, if so, the intersection point. Collinear
-// overlapping segments report the first shared endpoint encountered.
-func (s Segment) Intersect(o Segment) (Vec2, bool) {
-	r := s.Dir()
-	q := o.Dir()
-	denom := r.Cross(q)
-	ao := o.A.Sub(s.A)
-	if denom == 0 {
-		// Parallel. Check collinearity.
-		if ao.Cross(r) != 0 {
-			return Vec2{}, false
-		}
-		// Collinear: project o's endpoints onto s.
-		l2 := r.Norm2()
-		if l2 == 0 {
-			if s.A.Dist2(o.A) == 0 || s.A.Dist2(o.B) == 0 {
-				return s.A, true
-			}
-			return Vec2{}, false
-		}
-		t0 := ao.Dot(r) / l2
-		t1 := o.B.Sub(s.A).Dot(r) / l2
-		if t0 > t1 {
-			t0, t1 = t1, t0
-		}
-		if t1 < 0 || t0 > 1 {
-			return Vec2{}, false
-		}
-		return s.Point(Clamp(t0, 0, 1)), true
-	}
-	t := ao.Cross(q) / denom
-	u := ao.Cross(r) / denom
-	if t < 0 || t > 1 || u < 0 || u > 1 {
-		return Vec2{}, false
-	}
-	return s.Point(t), true
-}
-
-// CircleSegmentIntersect returns the parameters t ∈ [0,1] (sorted ascending)
-// at which the segment crosses the circle centered at c with radius rad.
-// Between zero and two parameters are returned.
-func CircleSegmentIntersect(s Segment, c Vec2, rad float64) []float64 {
-	d := s.Dir()
-	f := s.A.Sub(c)
-	a := d.Norm2()
-	if a == 0 {
-		return nil
-	}
-	b := 2 * f.Dot(d)
-	cc := f.Norm2() - rad*rad
-	disc := b*b - 4*a*cc
-	if disc < 0 {
-		return nil
-	}
-	sq := sqrt(disc)
-	var out []float64
-	for _, t := range [2]float64{(-b - sq) / (2 * a), (-b + sq) / (2 * a)} {
-		if t >= 0 && t <= 1 {
-			if len(out) == 1 && out[0] == t {
-				continue // tangent: single root
-			}
-			out = append(out, t)
-		}
-	}
-	return out
-}

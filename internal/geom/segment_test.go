@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -13,9 +12,6 @@ func TestSegmentBasics(t *testing.T) {
 	}
 	if s.Dir() != V(3, 4) {
 		t.Errorf("Dir = %v, want (3,4)", s.Dir())
-	}
-	if s.Midpoint() != V(1.5, 2) {
-		t.Errorf("Midpoint = %v, want (1.5,2)", s.Midpoint())
 	}
 	if got := s.Point(0.5); got != V(1.5, 2) {
 		t.Errorf("Point(0.5) = %v", got)
@@ -65,61 +61,6 @@ func TestSegmentNormal(t *testing.T) {
 	}
 }
 
-func TestSegmentIntersect(t *testing.T) {
-	a := Segment{V(0, 0), V(10, 10)}
-	b := Segment{V(0, 10), V(10, 0)}
-	p, ok := a.Intersect(b)
-	if !ok || !p.ApproxEqual(V(5, 5), eps) {
-		t.Errorf("Intersect = %v,%v want (5,5),true", p, ok)
-	}
-	// Non-intersecting.
-	c := Segment{V(20, 20), V(30, 30)}
-	if _, ok := a.Intersect(c); ok {
-		t.Error("disjoint segments reported intersecting")
-	}
-	// Parallel non-collinear.
-	d := Segment{V(0, 1), V(10, 11)}
-	if _, ok := a.Intersect(d); ok {
-		t.Error("parallel segments reported intersecting")
-	}
-	// Collinear overlapping.
-	e := Segment{V(5, 5), V(15, 15)}
-	if _, ok := a.Intersect(e); !ok {
-		t.Error("collinear overlapping segments reported disjoint")
-	}
-	// Collinear disjoint.
-	f := Segment{V(11, 11), V(15, 15)}
-	if _, ok := a.Intersect(f); ok {
-		t.Error("collinear disjoint segments reported intersecting")
-	}
-	// Touching endpoints.
-	g := Segment{V(10, 10), V(20, 0)}
-	p, ok = a.Intersect(g)
-	if !ok || !p.ApproxEqual(V(10, 10), eps) {
-		t.Errorf("touching endpoints = %v,%v", p, ok)
-	}
-}
-
-func TestCircleSegmentIntersect(t *testing.T) {
-	s := Segment{V(-2, 0), V(2, 0)}
-	ts := CircleSegmentIntersect(s, V(0, 0), 1)
-	if len(ts) != 2 {
-		t.Fatalf("got %d intersections, want 2", len(ts))
-	}
-	p0, p1 := s.Point(ts[0]), s.Point(ts[1])
-	if !p0.ApproxEqual(V(-1, 0), 1e-9) || !p1.ApproxEqual(V(1, 0), 1e-9) {
-		t.Errorf("intersections at %v, %v", p0, p1)
-	}
-	// Miss entirely.
-	if ts := CircleSegmentIntersect(s, V(0, 5), 1); len(ts) != 0 {
-		t.Errorf("miss returned %d hits", len(ts))
-	}
-	// Degenerate segment.
-	if ts := CircleSegmentIntersect(Segment{V(1, 1), V(1, 1)}, V(0, 0), 5); ts != nil {
-		t.Errorf("degenerate segment returned %v", ts)
-	}
-}
-
 func TestQuickClosestPointIsClosest(t *testing.T) {
 	// The returned closest point must beat both endpoints and the midpoint.
 	f := func(ax, ay, bx, by, px, py float64) bool {
@@ -127,7 +68,7 @@ func TestQuickClosestPointIsClosest(t *testing.T) {
 		p := V(small(px), small(py))
 		q, _ := s.ClosestPoint(p)
 		d := q.Dist(p)
-		return d <= s.A.Dist(p)+1e-9 && d <= s.B.Dist(p)+1e-9 && d <= s.Midpoint().Dist(p)+1e-9
+		return d <= s.A.Dist(p)+1e-9 && d <= s.B.Dist(p)+1e-9 && d <= s.Point(0.5).Dist(p)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -142,24 +83,6 @@ func TestQuickClosestPointOnSegment(t *testing.T) {
 		p := V(small(px), small(py))
 		q, _ := s.ClosestPoint(p)
 		return almost(q.Dist(s.A)+q.Dist(s.B), s.Length(), 1e-6*(1+s.Length()))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickCircleIntersectOnCircle(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy, r float64) bool {
-		s := Segment{V(small(ax), small(ay)), V(small(bx), small(by))}
-		c := V(small(cx), small(cy))
-		rad := math.Abs(small(r))
-		for _, tt := range CircleSegmentIntersect(s, c, rad) {
-			p := s.Point(tt)
-			if !almost(p.Dist(c), rad, 1e-5*(1+rad)) {
-				return false
-			}
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -28,9 +28,6 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // Scale returns v scaled by s.
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
-// Neg returns -v.
-func (v Vec2) Neg() Vec2 { return Vec2{-v.X, -v.Y} }
-
 // Dot returns the dot product v · w.
 func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
 
@@ -63,22 +60,6 @@ func (v Vec2) Normalize() Vec2 {
 // Angle returns the polar angle of v in radians, in (-π, π].
 func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
-// AngleBetween returns the unsigned included angle between v and w in
-// radians, in [0, π]. If either vector is zero the result is 0.
-func (v Vec2) AngleBetween(w Vec2) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return 0
-	}
-	c := v.Dot(w) / (nv * nw)
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return math.Acos(c)
-}
-
 // CosBetween returns cos of the included angle between v and w, in [-1, 1].
 // If either vector is zero the result is 0 (perpendicular by convention; the
 // arrival-time predictor treats cos ≤ 0 as "not approaching").
@@ -96,12 +77,6 @@ func (v Vec2) CosBetween(w Vec2) float64 {
 	return c
 }
 
-// Rotate returns v rotated counter-clockwise by theta radians.
-func (v Vec2) Rotate(theta float64) Vec2 {
-	s, c := math.Sincos(theta)
-	return Vec2{v.X*c - v.Y*s, v.X*s + v.Y*c}
-}
-
 // Perp returns v rotated counter-clockwise by 90 degrees.
 func (v Vec2) Perp() Vec2 { return Vec2{-v.Y, v.X} }
 
@@ -114,12 +89,6 @@ func (v Vec2) Lerp(w Vec2, t float64) Vec2 {
 func Polar(r, theta float64) Vec2 {
 	s, c := math.Sincos(theta)
 	return Vec2{r * c, r * s}
-}
-
-// IsFinite reports whether both components are finite (no NaN or Inf).
-func (v Vec2) IsFinite() bool {
-	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
-		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0)
 }
 
 // ApproxEqual reports whether v and w agree within absolute tolerance eps in
@@ -144,14 +113,3 @@ func Clamp(x, lo, hi float64) float64 {
 
 // Lerp linearly interpolates between a and b.
 func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// NormalizeAngle maps an angle to the interval (-π, π].
-func NormalizeAngle(theta float64) float64 {
-	theta = math.Mod(theta, 2*math.Pi)
-	if theta > math.Pi {
-		theta -= 2 * math.Pi
-	} else if theta <= -math.Pi {
-		theta += 2 * math.Pi
-	}
-	return theta
-}

@@ -22,9 +22,6 @@ func TestVecBasicOps(t *testing.T) {
 	if got := a.Scale(2); got != V(6, 8) {
 		t.Errorf("Scale = %v, want (6,8)", got)
 	}
-	if got := a.Neg(); got != V(-3, -4) {
-		t.Errorf("Neg = %v, want (-3,-4)", got)
-	}
 	if got := a.Dot(b); got != 5 {
 		t.Errorf("Dot = %v, want 5", got)
 	}
@@ -70,24 +67,6 @@ func TestAngle(t *testing.T) {
 	}
 }
 
-func TestAngleBetween(t *testing.T) {
-	cases := []struct {
-		a, b Vec2
-		want float64
-	}{
-		{V(1, 0), V(0, 1), math.Pi / 2},
-		{V(1, 0), V(1, 0), 0},
-		{V(1, 0), V(-1, 0), math.Pi},
-		{V(1, 0), V(1, 1), math.Pi / 4},
-		{Zero, V(1, 0), 0},
-	}
-	for _, c := range cases {
-		if got := c.a.AngleBetween(c.b); !almost(got, c.want, eps) {
-			t.Errorf("AngleBetween(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestCosBetween(t *testing.T) {
 	if c := V(1, 0).CosBetween(V(2, 0)); !almost(c, 1, eps) {
 		t.Errorf("cos parallel = %v, want 1", c)
@@ -100,17 +79,6 @@ func TestCosBetween(t *testing.T) {
 	}
 	if c := Zero.CosBetween(V(1, 0)); c != 0 {
 		t.Errorf("cos with zero vector = %v, want 0", c)
-	}
-}
-
-func TestRotate(t *testing.T) {
-	r := V(1, 0).Rotate(math.Pi / 2)
-	if !r.ApproxEqual(V(0, 1), eps) {
-		t.Errorf("rotate 90 = %v, want (0,1)", r)
-	}
-	r = V(1, 0).Rotate(math.Pi)
-	if !r.ApproxEqual(V(-1, 0), eps) {
-		t.Errorf("rotate 180 = %v, want (-1,0)", r)
 	}
 }
 
@@ -144,40 +112,12 @@ func TestPolar(t *testing.T) {
 	}
 }
 
-func TestIsFinite(t *testing.T) {
-	if !V(1, 2).IsFinite() {
-		t.Error("finite vector reported non-finite")
-	}
-	if V(math.NaN(), 0).IsFinite() {
-		t.Error("NaN vector reported finite")
-	}
-	if V(0, math.Inf(1)).IsFinite() {
-		t.Error("Inf vector reported finite")
-	}
-}
-
 func TestClampAndLerp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Error("Clamp misbehaves")
 	}
 	if Lerp(0, 10, 0.3) != 3 {
 		t.Error("Lerp misbehaves")
-	}
-}
-
-func TestNormalizeAngle(t *testing.T) {
-	cases := []struct{ in, want float64 }{
-		{0, 0},
-		{math.Pi, math.Pi},
-		{-math.Pi, math.Pi},
-		{3 * math.Pi, math.Pi},
-		{2 * math.Pi, 0},
-		{-math.Pi / 2, -math.Pi / 2},
-	}
-	for _, c := range cases {
-		if got := NormalizeAngle(c.in); !almost(got, c.want, eps) {
-			t.Errorf("NormalizeAngle(%v) = %v, want %v", c.in, got, c.want)
-		}
 	}
 }
 
@@ -223,17 +163,6 @@ func TestQuickScaleNorm(t *testing.T) {
 	}
 }
 
-func TestQuickRotatePreservesNorm(t *testing.T) {
-	f := func(ax, ay, th float64) bool {
-		a := V(small(ax), small(ay))
-		th = small(th)
-		return almost(a.Rotate(th).Norm(), a.Norm(), 1e-6*(1+a.Norm()))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickDotSymmetric(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		a, b := V(small(ax), small(ay)), V(small(bx), small(by))
@@ -258,19 +187,6 @@ func TestQuickTriangleInequality(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		a, b := V(small(ax), small(ay)), V(small(bx), small(by))
 		return a.Add(b).Norm() <= a.Norm()+b.Norm()+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickNormalizeAngleRange(t *testing.T) {
-	f := func(th float64) bool {
-		if math.IsNaN(th) || math.IsInf(th, 0) {
-			return true
-		}
-		got := NormalizeAngle(math.Mod(th, 1e6))
-		return got > -math.Pi-eps && got <= math.Pi+eps
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -81,15 +81,6 @@ func TestMapContextJobErrorBeatsCancel(t *testing.T) {
 	}
 }
 
-func TestEachContextPropagatesCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := EachContext(ctx, 2, 8, func(ctx context.Context, i int) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
 func TestMapIsMapContextBackground(t *testing.T) {
 	out, err := Map(2, 8, func(i int) (int, error) { return i + 1, nil })
 	if err != nil || len(out) != 8 || out[7] != 8 {

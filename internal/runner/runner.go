@@ -134,19 +134,3 @@ func MapContext[T any](ctx context.Context, parallelism, n int, job func(ctx con
 	}
 	return out, nil
 }
-
-// Each is Map for side-effecting jobs with no result value.
-func Each(parallelism, n int, job func(i int) error) error {
-	_, err := Map(parallelism, n, func(i int) (struct{}, error) {
-		return struct{}{}, job(i)
-	})
-	return err
-}
-
-// EachContext is MapContext for side-effecting jobs with no result value.
-func EachContext(ctx context.Context, parallelism, n int, job func(ctx context.Context, i int) error) error {
-	_, err := MapContext(ctx, parallelism, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, job(ctx, i)
-	})
-	return err
-}

@@ -106,27 +106,6 @@ func TestMapEmptyAndSingle(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each(4, 100, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d, want 4950", sum.Load())
-	}
-	if err := Each(4, 10, func(i int) error {
-		if i == 3 {
-			return errors.New("nope")
-		}
-		return nil
-	}); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func TestDefaultParallelism(t *testing.T) {
 	if DefaultParallelism() < 1 {
 		t.Fatalf("DefaultParallelism() = %d", DefaultParallelism())

@@ -3,9 +3,18 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/diffusion"
 	"repro/internal/geom"
+)
+
+// registry holds the named entries, built once; byName indexes them. All and
+// Lookup hand out deep copies, so a caller may edit any field of what it gets
+// without touching the registry.
+var (
+	registry = entries()
+	byName   = index(registry)
 )
 
 // All returns the named scenario registry in presentation order. The first
@@ -13,6 +22,78 @@ import (
 // the structured-deployment showcases and the production-scale deployments.
 // Every entry validates and builds.
 func All() []Scenario {
+	out := make([]Scenario, len(registry))
+	for i, s := range registry {
+		out[i] = s.clone()
+	}
+	return out
+}
+
+// Lookup finds a registry scenario by name.
+func Lookup(name string) (Scenario, bool) {
+	i, ok := byName[name]
+	if !ok {
+		return Scenario{}, false
+	}
+	return registry[i].clone(), true
+}
+
+// Names lists the registry scenario names in order.
+func Names() []string {
+	names := make([]string, len(registry))
+	for i, s := range registry {
+		names[i] = s.Name
+	}
+	return names
+}
+
+func index(all []Scenario) map[string]int {
+	m := make(map[string]int, len(all))
+	for i, s := range all {
+		m[s.Name] = i
+	}
+	return m
+}
+
+// clone returns a deep copy of s: every pointer and slice field of the
+// result is its own.
+func (s Scenario) clone() Scenario {
+	s.Stimulus = s.Stimulus.clone()
+	s.Failures.Churn = clonePtr(s.Failures.Churn)
+	s.Failures.Sensor = clonePtr(s.Failures.Sensor)
+	s.Failures.Radio = clonePtr(s.Failures.Radio)
+	s.Protocol.Liveness = clonePtr(s.Protocol.Liveness)
+	s.Protocol.Predictor = clonePtr(s.Protocol.Predictor)
+	return s
+}
+
+func (s StimulusSpec) clone() StimulusSpec {
+	if s.Sources != nil {
+		src := make([]StimulusSpec, len(s.Sources))
+		for i, sub := range s.Sources {
+			src[i] = sub.clone()
+		}
+		s.Sources = src
+	}
+	s.Plume = clonePtr(s.Plume)
+	if s.Eikonal != nil {
+		e := *s.Eikonal
+		e.Patches = slices.Clone(e.Patches)
+		s.Eikonal = &e
+	}
+	return s
+}
+
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
+}
+
+// entries builds the registry entries afresh.
+func entries() []Scenario {
 	paperField := geom.R(0, 0, 40, 40)
 	gasField := geom.R(0, 0, 80, 80)
 	gas := StimulusSpec{Kind: StimAdvected, Origin: geom.V(8, 40), Speed: 1.2, Drift: geom.V(0.6, 0.15), Start: 5}
@@ -193,24 +274,4 @@ func scaleName(n int) string {
 	default:
 		return fmt.Sprintf("scale-%d", n)
 	}
-}
-
-// Lookup finds a registry scenario by name.
-func Lookup(name string) (Scenario, bool) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scenario{}, false
-}
-
-// Names lists the registry scenario names in order.
-func Names() []string {
-	all := All()
-	names := make([]string, len(all))
-	for i, s := range all {
-		names[i] = s.Name
-	}
-	return names
 }

@@ -61,6 +61,60 @@ func TestLookup(t *testing.T) {
 	}
 }
 
+// TestRegistryHandsOutCopies edits every pointer and slice field that the
+// registry entries carry, on entries returned by both Lookup and All, and
+// checks that later calls still return the original values.
+func TestRegistryHandsOutCopies(t *testing.T) {
+	want := entries() // a fresh build shares nothing with the registry
+	edit := func(sp *Scenario) {
+		switch sp.Name {
+		case "twinspill":
+			sp.Stimulus.Sources[0].Speed = 99
+			sp.Stimulus.Sources = append(sp.Stimulus.Sources, StimulusSpec{Kind: StimRadial})
+		case "plume":
+			sp.Stimulus.Plume.Rate = 99
+		case "terrain":
+			sp.Stimulus.Eikonal.BaseSpeed = 99
+			sp.Stimulus.Eikonal.Patches[0].Speed = 99
+		case "churn":
+			sp.Failures.Churn.Fraction = 0.99
+			sp.Protocol.Liveness.MissK = 99
+		case "drift":
+			sp.Failures.Sensor.Drift = 99
+		}
+	}
+	for _, name := range []string{"twinspill", "plume", "terrain", "churn", "drift"} {
+		sp, ok := Lookup(name)
+		if !ok {
+			t.Fatalf("%s missing from the registry", name)
+		}
+		edit(&sp)
+	}
+	edited := All()
+	for i := range edited {
+		edit(&edited[i])
+	}
+	if got := All(); !reflect.DeepEqual(got, want) {
+		t.Error("All changed after callers edited returned entries")
+	}
+	for _, sp := range want {
+		if got, _ := Lookup(sp.Name); !reflect.DeepEqual(got, sp) {
+			t.Errorf("Lookup(%q) changed after callers edited returned entries:\n got %+v\nwant %+v", sp.Name, got, sp)
+		}
+	}
+}
+
+func TestLookupZeroAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := Lookup("paper"); !ok {
+			t.Fatal("paper missing from the registry")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Lookup(\"paper\") = %v allocs/op, want 0", allocs)
+	}
+}
+
 func TestDeploymentSpecGenerate(t *testing.T) {
 	field := geom.R(0, 0, 40, 40)
 	st := func() *rng.Stream { return rng.NewSource(9).Stream("deploy") }

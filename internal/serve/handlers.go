@@ -271,9 +271,6 @@ func (c *simCall) replicate(ctx context.Context) ([]byte, error) {
 // cannot run on that many kernels is a 400 at submit time rather than a late
 // compute failure.
 func checkShards(sp scenario.Scenario, shards int) error {
-	if shards < 0 {
-		return badRequest("negative shards %d", shards)
-	}
 	if shards == 0 {
 		return nil
 	}

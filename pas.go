@@ -51,7 +51,7 @@
 // generation uses the spatial hash, broadcast delivery walks a frozen CSR
 // topology compiled once per deployment (nothing on the run path is O(n²)
 // in the node count, or even re-derives per-link geometry per broadcast),
-// and BenchmarkScale10k / BenchmarkScale10kColdStart pin the warm and cold
+// and BenchmarkScale10k / BenchmarkScale10kColdStart time the warm and cold
 // cost.
 //
 // # Parallel replication
@@ -184,8 +184,8 @@
 //     suppresses every report).
 //
 // Every predictor is zero-alloc on the step path (fixed-size ring buffers,
-// state embedded in the agent slab; alloc tests and BenchmarkPredictorStep
-// pin 0 allocs/op). Selection is scenario-addressable — ProtocolSpec gains a
+// state embedded in the agent slab; the predict alloc tests pin 0
+// allocs/op). Selection is scenario-addressable — ProtocolSpec gains a
 // PredictorSpec section (PASConfig.Predictor programmatically; -predictor on
 // passim/pasbench) — and canonicalization-aware: a spec without a predictor
 // section, or with an explicit default one, keeps its pre-predictor content
@@ -218,11 +218,10 @@
 //     Delivery is batched: each broadcast is ONE kernel event fanning out
 //     from a pooled delivery record sized exactly to its CSR row, and every
 //     message travels as a value-dispatch radio.Envelope (a small
-//     pointer-free tagged union). A full broadcast→delivery cycle — including a nested
-//     rebroadcast from inside a delivery — allocates nothing
-//     (BenchmarkBroadcastDeliver and the radio alloc tests pin 0
-//     allocs/op). AddNode after the freeze recompiles the topology on the
-//     next broadcast.
+//     pointer-free tagged union). A full broadcast→delivery cycle —
+//     including a nested rebroadcast from inside a delivery — allocates
+//     nothing (the radio alloc tests pin 0 allocs/op). AddNode after the
+//     freeze recompiles the topology on the next broadcast.
 //   - Construction is slab-allocated: the network builder carves nodes,
 //     radio endpoints and protocol agents from per-network slabs, meters
 //     and timers are embedded by value, and protocol callbacks are
@@ -254,8 +253,8 @@
 //     deterministic transmit path: exact unit-disk loss, no collisions, no
 //     CSMA, no fault plan (experiment.Shardable gates, with a clear error).
 //     scale-100k and scale-1m join the scenario registry as the workloads
-//     this enables; BenchmarkScale100k (4 shards) is the baselined headline,
-//     with BenchmarkScale100kSerial as its 1-shard speedup reference.
+//     this enables; BenchmarkScale100k (4 shards) times the headline, with
+//     BenchmarkScale100kSerial as its 1-shard speedup reference.
 //
 // Determinism is pinned by golden-trace snapshots
 // (internal/experiment/testdata/golden): fresh serial and 8-way-parallel
@@ -279,25 +278,28 @@
 // scale-1m run fits comfortably (~1M nodes, ~30M directed CSR edges against
 // the 2^31 ceilings).
 //
-// BENCH_4.json pins the benchmark baseline (BENCH_1.json through BENCH_3.json
-// are kept as historical points); `go run ./cmd/benchcheck` compares fresh
-// `go test -bench` output against it (CI does this automatically, warning
-// on >20% drift in ns/op or allocs/op — for the zero-alloc baselines any
-// allocation at all warns — and publishes the comparison as machine-readable
-// JSON rows via -json).
+// Allocation counts are gated by ordinary tests, which fail on a
+// regression: AllocsPerRun tests in each package pin the 0-alloc paths
+// (kernel dispatch, radio fan-out, predictor step, codecs) exactly, and the
+// root package's alloc_test.go holds the end-to-end paths (PAS, SAS and
+// churn runs, a 1k-node build, a scale-10k run, the runner pool, a served
+// cache hit, a store read) to ceilings. `go test -run Allocs ./...` runs
+// them all. Timing belongs to the repository benchmark in perfbench/ (its
+// workloads are listed in BENCHMARK.json), which reports wall time scaled to
+// a fixed host speed; the Benchmark* functions remain as pprof entry points.
 //
 // # Module layout
 //
 // The module is named repro. The public API lives in this root package;
 // cmd/passim (single runs), cmd/pasbench (figure regeneration), cmd/pasviz
-// (ASCII animation), cmd/passerve (the simulation service) and
-// cmd/benchcheck (benchmark-baseline comparison) are the CLIs; examples/
-// holds runnable walkthroughs. The simulation substrate is under internal/:
-// sim (event kernel), node/radio/energy (the mote model), core/sas/baseline
-// (the protocols), diffusion/geom (stimulus front models), deploy, rng,
-// metrics, stats, contour, trace, runner (the parallel replication engine)
-// and serve (the HTTP service) — experiment ties them into the replicated
-// harness.
+// (ASCII animation) and cmd/passerve (the simulation service) are the CLIs;
+// examples/ holds runnable walkthroughs, and perfbench/ is the repository
+// benchmark, a nested module of its own. The simulation substrate is under
+// internal/: sim (event kernel), node/radio/energy (the mote model),
+// core/sas/baseline (the protocols), diffusion/geom (stimulus front models),
+// deploy, rng, metrics, stats, contour, trace, runner (the parallel
+// replication engine) and serve (the HTTP service) — experiment ties them
+// into the replicated harness.
 //
 // # Local verification
 //
@@ -307,6 +309,7 @@
 //	go build ./...
 //	go vet ./...
 //	gofmt -l .          # must print nothing
+//	go test -run Allocs ./...   # allocation ceilings (compiled out under -race)
 //	go test -race ./...
 //	go test -run '^$' -bench=. -benchtime=1x ./...   # quick bench smoke
 //
