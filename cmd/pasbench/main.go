@@ -72,6 +72,19 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	if err := fs.Parse(args); err != nil {
 		return c, err
 	}
+	// Zero means the default; a negative count is a usage error, not another
+	// spelling of zero.
+	var err error
+	switch {
+	case *seeds < 0:
+		err = fmt.Errorf("-seeds %d must not be negative", *seeds)
+	case *parallel < 0:
+		err = fmt.Errorf("-parallel %d must not be negative", *parallel)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "pasbench: %v\n", err)
+		return c, err
+	}
 	c.opts = pas.ExperimentOptions{Quick: c.quick, Parallelism: *parallel}
 	if *seeds > 0 {
 		c.opts.Seeds = pas.Seeds(*seeds)

@@ -124,6 +124,24 @@ func TestRunBadFlagExitCode(t *testing.T) {
 	}
 }
 
+// TestRunNegativeCountsAreUsageErrors pins that a negative -seeds or
+// -parallel exits 2 with a message instead of running as the default.
+func TestRunNegativeCountsAreUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "fig4", "-quick", "-seeds", "-3"}, "pasbench: -seeds -3 must not be negative\n"},
+		{[]string{"-exp", "fig4", "-quick", "-parallel", "-4"}, "pasbench: -parallel -4 must not be negative\n"},
+	} {
+		var stdout, stderr strings.Builder
+		if code := run(tc.args, &stdout, &stderr); code != 2 || stderr.String() != tc.want || stdout.Len() != 0 {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and %q",
+				tc.args, code, stdout.String(), stderr.String(), tc.want)
+		}
+	}
+}
+
 func TestRunHelpExitsZero(t *testing.T) {
 	var stdout, stderr strings.Builder
 	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {

@@ -66,8 +66,32 @@ func parseFlags(args []string, stderr io.Writer) (addr string, cfg pas.ServeConf
 	fs.IntVar(&cfg.CacheEntries, "cache", 0, "result-store capacity in entries (0 = 4096)")
 	fs.StringVar(&cfg.StoreDir, "store", "", "durable store directory (empty = memory-only)")
 	fs.DurationVar(&cfg.JobTimeout, "job-timeout", 0, "async-job execution cap (0 = 10m)")
-	err = fs.Parse(args)
+	if err = fs.Parse(args); err == nil {
+		if err = checkBounds(cfg); err != nil {
+			fmt.Fprintf(stderr, "passerve: %v\n", err)
+		}
+	}
 	return addr, cfg, err
+}
+
+// checkBounds rejects negative sizes and durations: zero means the default,
+// and a negative value is a usage error, not another spelling of zero.
+func checkBounds(cfg pas.ServeConfig) error {
+	switch {
+	case cfg.Workers < 0:
+		return fmt.Errorf("-workers %d must not be negative", cfg.Workers)
+	case cfg.QueueDepth < 0:
+		return fmt.Errorf("-queue %d must not be negative", cfg.QueueDepth)
+	case cfg.CacheEntries < 0:
+		return fmt.Errorf("-cache %d must not be negative", cfg.CacheEntries)
+	case cfg.DefaultTimeout < 0:
+		return fmt.Errorf("-timeout %v must not be negative", cfg.DefaultTimeout)
+	case cfg.MaxTimeout < 0:
+		return fmt.Errorf("-max-timeout %v must not be negative", cfg.MaxTimeout)
+	case cfg.JobTimeout < 0:
+		return fmt.Errorf("-job-timeout %v must not be negative", cfg.JobTimeout)
+	}
+	return nil
 }
 
 // run executes one invocation and returns the process exit code. It serves

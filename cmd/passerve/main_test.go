@@ -212,4 +212,24 @@ func TestFlagErrors(t *testing.T) {
 	if code := run(context.Background(), []string{"-addr", "256.256.256.256:1"}, &out, &out); code != 1 {
 		t.Fatalf("unbindable addr: exit %d, want 1", code)
 	}
+	// Zero means the default; a negative size or duration is a usage error
+	// that exits 2 before anything listens.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workers", "-2"}, "passerve: -workers -2 must not be negative\n"},
+		{[]string{"-queue", "-5"}, "passerve: -queue -5 must not be negative\n"},
+		{[]string{"-cache", "-1"}, "passerve: -cache -1 must not be negative\n"},
+		{[]string{"-timeout", "-1s"}, "passerve: -timeout -1s must not be negative\n"},
+		{[]string{"-max-timeout", "-2m"}, "passerve: -max-timeout -2m0s must not be negative\n"},
+		{[]string{"-job-timeout", "-3s"}, "passerve: -job-timeout -3s must not be negative\n"},
+	} {
+		var stdout, stderr syncBuffer
+		if code := run(context.Background(), append([]string{"-addr", "127.0.0.1:0"}, tc.args...), &stdout, &stderr); code != 2 ||
+			stderr.String() != tc.want || stdout.String() != "" {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 2 and %q",
+				tc.args, code, stdout.String(), stderr.String(), tc.want)
+		}
+	}
 }

@@ -99,6 +99,8 @@ func (c config) checkBounds() error {
 		return fmt.Errorf("-loss %g outside [0, 1)", c.lossProb)
 	case c.reps < 1:
 		return fmt.Errorf("-reps %d must be at least 1", c.reps)
+	case c.parallel < 0:
+		return fmt.Errorf("-parallel %d must not be negative", c.parallel)
 	}
 	return nil
 }

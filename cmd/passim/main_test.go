@@ -245,8 +245,8 @@ func TestFailFlagReachesConfig(t *testing.T) {
 // above 1 and run fault-free below 0), as does -shards -1 (it used to run one
 // kernel). -nodes, -loss and -reps outside their bounds are usage errors,
 // exit 2: -nodes -5 used to panic, -nodes 0 printed "nodes 0" over a 30-node
-// run, -loss 1.5 dropped every packet, -loss -0.5 ran the unit disk and
-// -reps below 1 ran one seed.
+// run, -loss 1.5 dropped every packet, -loss -0.5 ran the unit disk,
+// -reps below 1 ran one seed and -parallel -4 ran one worker per CPU.
 func TestOutOfRangeFailFlagIsCleanError(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -262,6 +262,7 @@ func TestOutOfRangeFailFlagIsCleanError(t *testing.T) {
 		{[]string{"-loss", "-0.5"}, 2, "passim: -loss -0.5 outside [0, 1)\n"},
 		{[]string{"-reps", "0"}, 2, "passim: -reps 0 must be at least 1\n"},
 		{[]string{"-reps", "-2"}, 2, "passim: -reps -2 must be at least 1\n"},
+		{[]string{"-parallel", "-4"}, 2, "passim: -parallel -4 must not be negative\n"},
 	} {
 		var stdout, stderr strings.Builder
 		code := run(tc.args, &stdout, &stderr)

@@ -9,9 +9,10 @@ import (
 
 // minWireBytes is the smallest on-air frame any protocol in this repository
 // transmits: the payload-less PAS REQUEST. Its transmission time is the
-// conservative window length — the minimum delay after which one shard can
-// influence another — so every broadcast must be at least this large (the
-// sharded medium enforces it with a panic).
+// per-hop lookahead of the sharded windows — the minimum delay after which
+// a node can influence its neighbours, and so another shard — so every
+// broadcast must be at least this large (the sharded medium enforces it with
+// a panic).
 var minWireBytes = core.Request{}.Size()
 
 // Shardable reports whether the (defaulted) config can run on rc.Shards

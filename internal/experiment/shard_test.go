@@ -10,7 +10,8 @@ import (
 
 // TestShardedByteIdentityScale1k is the tentpole acceptance test: a full
 // scale-1k PAS run must produce a byte-identical RunReport — every per-node
-// metric, every aggregate — at 1, 2 and 8 shards versus the serial kernel.
+// metric, every aggregate — at 1, 2, 3, 4 and 8 shards versus the serial
+// kernel.
 func TestShardedByteIdentityScale1k(t *testing.T) {
 	spec, ok := scenario.Lookup("scale-1k")
 	if !ok {
@@ -29,7 +30,7 @@ func TestShardedByteIdentityScale1k(t *testing.T) {
 	if serial.Detected == 0 {
 		t.Fatal("serial scale-1k run detected nothing; workload is vacuous")
 	}
-	for _, shards := range []int{1, 2, 8} {
+	for _, shards := range []int{1, 2, 3, 4, 8} {
 		src := rc
 		src.Shards = shards
 		got, err := RunOnce(src)

@@ -1,43 +1,6 @@
 package geom
 
-import (
-	"math"
-	"sort"
-)
-
-// Polyline is an open chain of vertices.
-type Polyline []Vec2
-
-// Length returns the total arc length of the polyline.
-func (p Polyline) Length() float64 {
-	var l float64
-	for i := 1; i < len(p); i++ {
-		l += p[i-1].Dist(p[i])
-	}
-	return l
-}
-
-// ClosestPoint returns the point on the polyline closest to q, the distance,
-// and the index of the segment on which it lies. An empty polyline returns
-// the zero vector, +Inf and -1.
-func (p Polyline) ClosestPoint(q Vec2) (Vec2, float64, int) {
-	if len(p) == 0 {
-		return Vec2{}, math.Inf(1), -1
-	}
-	if len(p) == 1 {
-		return p[0], p[0].Dist(q), 0
-	}
-	best := Vec2{}
-	bestD := math.Inf(1)
-	bestI := -1
-	for i := 1; i < len(p); i++ {
-		pt, _ := (Segment{p[i-1], p[i]}).ClosestPoint(q)
-		if d := pt.Dist(q); d < bestD {
-			best, bestD, bestI = pt, d, i-1
-		}
-	}
-	return best, bestD, bestI
-}
+import "sort"
 
 // Polygon is a closed simple polygon; the edge from the last vertex back to
 // the first is implicit.

@@ -6,36 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestPolylineLength(t *testing.T) {
-	p := Polyline{V(0, 0), V(3, 4), V(3, 10)}
-	if l := p.Length(); l != 11 {
-		t.Errorf("Length = %v, want 11", l)
-	}
-	if l := Polyline(nil).Length(); l != 0 {
-		t.Errorf("empty Length = %v", l)
-	}
-}
-
-func TestPolylineClosestPoint(t *testing.T) {
-	p := Polyline{V(0, 0), V(10, 0), V(10, 10)}
-	q, d, seg := p.ClosestPoint(V(5, 2))
-	if !q.ApproxEqual(V(5, 0), eps) || !almost(d, 2, eps) || seg != 0 {
-		t.Errorf("ClosestPoint = %v,%v,%d", q, d, seg)
-	}
-	q, d, seg = p.ClosestPoint(V(12, 8))
-	if !q.ApproxEqual(V(10, 8), eps) || !almost(d, 2, eps) || seg != 1 {
-		t.Errorf("ClosestPoint = %v,%v,%d", q, d, seg)
-	}
-	_, d, seg = Polyline(nil).ClosestPoint(V(0, 0))
-	if !math.IsInf(d, 1) || seg != -1 {
-		t.Errorf("empty ClosestPoint = %v,%d", d, seg)
-	}
-	q, d, seg = Polyline{V(1, 1)}.ClosestPoint(V(1, 3))
-	if q != V(1, 1) || !almost(d, 2, eps) || seg != 0 {
-		t.Errorf("single-point ClosestPoint = %v,%v,%d", q, d, seg)
-	}
-}
-
 func TestPolygonArea(t *testing.T) {
 	sq := Polygon{V(0, 0), V(2, 0), V(2, 2), V(0, 2)} // CCW unit-ish square
 	if a := sq.Area(); a != 4 {
@@ -136,8 +106,7 @@ func TestQuickHullContainsAll(t *testing.T) {
 			if !grown.Contains(p) {
 				// Points exactly on the boundary may fail Contains; accept if
 				// very close to the hull perimeter.
-				poly := Polyline(append(append(Polyline{}, hull...), hull[0]))
-				if _, d, _ := poly.ClosestPoint(p); d > 1e-6 {
+				if hullDist(hull, p) > 1e-6 {
 					return false
 				}
 			}
@@ -164,4 +133,19 @@ func TestQuickHullAreaNonNegative(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// hullDist is the distance from p to the nearest edge of the closed polygon.
+func hullDist(pg Polygon, p Vec2) float64 {
+	best := math.Inf(1)
+	for i := range pg {
+		a, b := pg[i], pg[(i+1)%len(pg)]
+		d := b.Sub(a)
+		t := 0.0
+		if l2 := d.Norm2(); l2 > 0 {
+			t = Clamp(p.Sub(a).Dot(d)/l2, 0, 1)
+		}
+		best = min(best, a.Lerp(b, t).Dist(p))
+	}
+	return best
 }

@@ -77,9 +77,6 @@ func (v Vec2) CosBetween(w Vec2) float64 {
 	return c
 }
 
-// Perp returns v rotated counter-clockwise by 90 degrees.
-func (v Vec2) Perp() Vec2 { return Vec2{-v.Y, v.X} }
-
 // Lerp linearly interpolates between v and w: t=0 gives v, t=1 gives w.
 func (v Vec2) Lerp(w Vec2, t float64) Vec2 {
 	return Vec2{v.X + (w.X-v.X)*t, v.Y + (w.Y-v.Y)*t}

@@ -82,16 +82,6 @@ func TestCosBetween(t *testing.T) {
 	}
 }
 
-func TestPerp(t *testing.T) {
-	p := V(2, 3).Perp()
-	if p != V(-3, 2) {
-		t.Errorf("Perp = %v, want (-3,2)", p)
-	}
-	if d := V(2, 3).Dot(p); d != 0 {
-		t.Errorf("v·perp(v) = %v, want 0", d)
-	}
-}
-
 func TestLerpVec(t *testing.T) {
 	a, b := V(0, 0), V(10, 20)
 	if got := a.Lerp(b, 0); got != a {

@@ -3,6 +3,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -55,9 +56,11 @@ type Network struct {
 	// Nodes in global ID order at any shard count — metrics collection
 	// iterates this slice and must observe the serial iteration order.
 	Nodes []*Node
-	// Window is the conservative window length W on two or more shards: the
+	// Window is the per-hop lookahead W on two or more shards: the
 	// transmission time of the smallest legal message, i.e. the minimum delay
-	// after which an event on one shard can influence another. Zero on one
+	// after which an event on a strip's boundary can influence another shard
+	// (one c hops further in needs (c+1)·W). A window ends where the earliest
+	// pending event could first do so (sim.ShardGroup.WindowEnd). Zero on one
 	// shard, where nothing crosses a boundary.
 	Window float64
 }
@@ -101,8 +104,8 @@ func shardAssignment(positions []geom.Vec2, shards int) []int32 {
 // is an ordinary kernel and medium with the channel stream, collisions and
 // CSMA. Two or more split the deployment into strips over one shared frozen
 // topology; minWire, the smallest on-air message size (bytes) any protocol
-// in the run transmits, fixes their window length, and the radio panics on
-// configurations whose transmit path cannot shard (non-UnitDisk loss,
+// in the run transmits, fixes their per-hop lookahead, and the radio panics
+// on configurations whose transmit path cannot shard (non-UnitDisk loss,
 // collisions, CSMA) — the experiment layer gates those with a clear error.
 func BuildShardedNetwork(cfg NetworkConfig, shards, minWire int) *Network {
 	if cfg.Deployment == nil || cfg.Deployment.N() == 0 {
@@ -196,28 +199,41 @@ func (nw *Network) Run(horizon float64) float64 {
 // how late cancellation and progress reports come.
 const oneShardWindows = 128
 
-// barrierSpins is how long a shard goroutine spins on the window barrier
-// before yielding the processor. Windows are microseconds of wall-clock, so
+// barrierSpins is how long a goroutine spins on the window barrier before
+// yielding the processor. A window is tens of microseconds of wall clock, so
 // parking on a channel or mutex per window would dominate the run; spinning
-// with periodic yields keeps the barrier tens of nanoseconds in the common
-// case without starving co-scheduled work.
+// keeps the barrier tens of nanoseconds while every shard has a processor,
+// and the periodic yield keeps co-scheduled work from starving.
 const barrierSpins = 4096
 
+// advance runs one shard through a window, or to the horizon inclusive on
+// the final stretch.
+func advance(k *sim.Kernel, end float64, final bool) {
+	if final {
+		k.RunUntil(end)
+	} else {
+		k.RunWindow(end)
+	}
+}
+
 // RunContext is Run with cooperative cancellation. The run advances one
-// window at a time from the earliest pending event, so idle spans are
-// skipped in one hop; a window is W on two or more shards and horizon/128
-// on one. After every window a node.WithProgress hook on ctx is called with
-// (window end, horizon) and ctx is polled without blocking; once ctx is done
-// the run stops and returns the virtual time reached and ctx's error.
+// window at a time. On one shard a window is horizon/128 from the earliest
+// pending event. On two or more it ends at sim.ShardGroup.WindowEnd(Window):
+// the earliest instant any pending event could reach another shard, at least
+// W after the earliest event and (c+1)·W after an event c radio hops inside
+// its strip. After every window a node.WithProgress hook on ctx is called
+// with (window end, horizon) and ctx is polled without blocking; once ctx is
+// done the run stops and returns the virtual time reached and ctx's error.
 // Meters are only closed — and the network only collectable — on a complete
 // run, which returns (horizon, nil) byte-identical at any shard count: no
 // handler runs between windows, so neither the windows nor the hook can
 // change one output bit.
 //
-// One shard runs on the calling goroutine. Two or more run one goroutine
-// per shard while this one orchestrates the barriers, the sequence merge
-// and the boundary flushes; the hook is called at the barrier, when no
-// shard is executing.
+// The calling goroutine runs shard 0 and orchestrates: it releases one
+// goroutine for each other shard per window, runs its own shard, waits at
+// the barrier, then merges the sequence logs and flushes boundary
+// deliveries; the hook is called at the barrier, when no shard is executing.
+// One shard starts no goroutine.
 func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, error) {
 	if horizon <= 0 {
 		panic(fmt.Sprintf("node: horizon must be positive, got %g", horizon))
@@ -230,15 +246,12 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 	nw.Group.BeginWindows()
 
 	s := nw.Group.Shards()
-	window := nw.Window
-	if s == 1 {
-		window = horizon / oneShardWindows
-	}
-	// Spinning assumes every shard goroutine owns a processor; when the
-	// runtime has fewer, yield immediately instead of burning the only
-	// timeslice the peer needs to finish the window.
+	// Spinning assumes every shard's goroutine owns a CPU; with fewer
+	// processors or CPUs than shards (GOMAXPROCS can exceed the CPUs), yield
+	// at once instead of burning the timeslice a shard still inside its
+	// window needs.
 	spinLimit := barrierSpins
-	if runtime.GOMAXPROCS(0) <= s {
+	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) < s {
 		spinLimit = 1
 	}
 	var (
@@ -252,7 +265,7 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 		final bool
 		wg    sync.WaitGroup
 	)
-	for i := 0; s > 1 && i < s; i++ { // one shard runs on this goroutine
+	for i := 1; i < s; i++ { // shard 0 runs on this goroutine
 		k := nw.Group.Shard(i)
 		wg.Add(1)
 		go func() {
@@ -266,21 +279,18 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 				}
 				seen++
 				if stopped.Load() {
-					pending.Add(-1)
 					return
 				}
-				if final {
-					k.RunUntil(end)
-				} else {
-					k.RunWindow(end)
-				}
+				advance(k, end, final)
 				pending.Add(-1)
 			}
 		}()
 	}
-	release := func() {
-		pending.Store(int64(s))
+	// step advances every shard to end and returns at the barrier.
+	step := func() {
+		pending.Store(int64(s - 1))
 		phase.Add(1)
+		advance(nw.Kernel, end, final)
 		for spins := 0; pending.Load() != 0; {
 			if spins++; spins >= spinLimit {
 				runtime.Gosched()
@@ -289,28 +299,24 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 		}
 	}
 	shutdown := func() {
-		if s > 1 {
-			stopped.Store(true)
-			release()
-			wg.Wait()
-		}
+		stopped.Store(true)
+		phase.Add(1)
+		wg.Wait()
 	}
 
 	for {
-		minAt, any := 0.0, false
-		for i := 0; i < s; i++ {
-			if at, ok := nw.Group.Shard(i).NextEventTime(); ok && (!any || at < minAt) {
-				minAt, any = at, true
-			}
+		next := math.Inf(1)
+		if s > 1 {
+			next = nw.Group.WindowEnd(nw.Window)
+		} else if at, ok := nw.Kernel.NextEventTime(); ok {
+			next = at + horizon/oneShardWindows
 		}
-		if !any || minAt+window > horizon {
+		if next > horizon {
 			break
 		}
-		end, final = minAt+window, false
-		if s == 1 {
-			nw.Kernel.RunWindow(end)
-		} else {
-			release()
+		end, final = next, false
+		step()
+		if s > 1 {
 			nw.Group.EndWindow()
 			for _, m := range nw.Media {
 				m.FlushBoundary()
@@ -327,15 +333,11 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 		}
 	}
 	// Final stretch: every remaining event up to and including the horizon.
-	// An event here influences other shards no earlier than minAt + W >
-	// horizon, so the shards are causally independent to the end — no more
+	// No event pending here can influence another shard at or before the
+	// horizon, so the shards are causally independent to the end: no more
 	// barriers, and the serial-inclusive RunUntil semantics apply.
 	end, final = horizon, true
-	if s == 1 {
-		nw.Kernel.RunUntil(horizon)
-	} else {
-		release()
-	}
+	step()
 	shutdown()
 
 	for _, n := range nw.Nodes {

@@ -198,6 +198,9 @@ func (n *Node) init(cfg Config) {
 	n.wake.Bind(cfg.Kernel)
 	n.death.Bind(cfg.Kernel)
 	cfg.Medium.AddNode(cfg.ID, cfg.Pos, n, &n.meter)
+	// The events scheduled here act for this node: give them its hop class.
+	prev := cfg.Kernel.SetClass(cfg.Medium.HopClass(cfg.ID))
+	defer cfg.Kernel.SetClass(prev)
 
 	// Ground-truth arrival: an awake sensor detects at this exact instant.
 	if !math.IsInf(n.arrival, 1) && n.arrival >= cfg.Kernel.Now() {
@@ -213,7 +216,11 @@ func (n *Node) init(cfg Config) {
 
 // Start invokes the agent's Init. Call after all nodes exist so that initial
 // broadcasts can reach every neighbour.
-func (n *Node) Start() { n.agent.Init(n) }
+func (n *Node) Start() {
+	prev := n.kernel.SetClass(n.medium.HopClass(n.id))
+	n.agent.Init(n)
+	n.kernel.SetClass(prev)
+}
 
 // --- identity & environment accessors ---
 

@@ -550,8 +550,10 @@ func (m *Medium) runDelivery(d *delivery) {
 		if m.shard != nil {
 			// Re-align the intra-fan-out schedule key space: events this
 			// receiver's Deliver schedules must merge in global row order
-			// with the fan-out's fragments on other shards.
+			// with the fan-out's fragments on other shards. They act for
+			// the receiver, so they carry its hop class.
 			m.kernel.SetFanKey(int(d.rowPos[i]))
+			m.kernel.SetClass(m.shard.class[target.idx])
 		}
 		if m.collisions && d.end <= target.corruptUntil+1e-12 {
 			m.stats.DroppedCollision++

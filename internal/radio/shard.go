@@ -12,6 +12,11 @@
 // row position (sim.SetFanKey) — so the union of the fragments executes
 // receiver-for-receiver like the serial fan-out event.
 //
+// Every node also gets a hop class (hopClasses): its radio distance to the
+// edge of its strip. The kernel stamps it on the node's events and ends each
+// window where the nearest of them could first reach another shard
+// (sim.ShardGroup.WindowEnd).
+//
 // Sharded media support exactly the configuration whose transmit path is
 // deterministic without a shared randomness stream or cross-shard state:
 // UnitDisk loss (consumes no randomness), no collision modelling, no CSMA
@@ -22,6 +27,7 @@ package radio
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/energy"
 	"repro/internal/geom"
@@ -34,6 +40,7 @@ type shardLink struct {
 	group   *sim.ShardGroup
 	media   []*Medium // all shards' media, indexed by shard
 	owner   []int32   // global dense node index -> owning shard
+	class   []uint16  // global dense node index -> hop class
 	self    int32
 	minWire int // smallest legal on-air size; the window-lookahead contract
 
@@ -68,8 +75,8 @@ type boundary struct {
 // NewShardedMedia builds one Medium per shard of g over a single shared
 // frozen topology. owner assigns each global dense node index to a shard;
 // minWire is the smallest on-air message size any protocol in the run emits
-// (the conservative window length is its transmission time, so a smaller
-// broadcast would violate the lookahead and panics). All media share the
+// (its transmission time is the per-hop window lookahead, so a smaller
+// broadcast would violate it and panics). All media share the
 // loss model, which must be UnitDisk — the only model whose transmit path
 // consumes no randomness.
 func NewShardedMedia(g *sim.ShardGroup, bounds geom.Rect, profile energy.Profile, loss LossModel, topo *Topology, owner []int32, minWire int) []*Medium {
@@ -84,6 +91,7 @@ func NewShardedMedia(g *sim.ShardGroup, bounds geom.Rect, profile energy.Profile
 	}
 	s := g.Shards()
 	media := make([]*Medium, s)
+	class := hopClasses(topo, owner)
 	for i := 0; i < s; i++ {
 		m := NewMedium(g.Shard(i), bounds, profile, loss, nil)
 		m.topo = topo
@@ -91,6 +99,7 @@ func NewShardedMedia(g *sim.ShardGroup, bounds geom.Rect, profile energy.Profile
 			group:   g,
 			media:   media,
 			owner:   owner,
+			class:   class,
 			self:    int32(i),
 			minWire: minWire,
 			localEp: make([]*endpoint, topo.NodeCount()),
@@ -101,6 +110,54 @@ func NewShardedMedia(g *sim.ShardGroup, bounds geom.Rect, profile energy.Profile
 		media[i] = m
 	}
 	return media
+}
+
+// hopClasses returns each node's hop class: the fewest radio hops, over
+// links inside the node's own shard, from the node to one with a link into
+// another shard (0 for such boundary nodes). A node of class c influences
+// another shard no sooner than c+1 transmissions after one of its events.
+// Classes saturate at math.MaxUint16, which is also the class of a node with
+// no same-shard path to a boundary; both stay conservative. Topology rows
+// are symmetric (one inclusive range rule), so a breadth-first search out of
+// the boundary nodes along rows measures the distance into them.
+func hopClasses(topo *Topology, owner []int32) []uint16 {
+	n := topo.NodeCount()
+	class := make([]uint16, n)
+	queue := make([]int32, 0, n)
+	for i := range class {
+		class[i] = math.MaxUint16
+		row, _ := topo.Row(i)
+		for _, j := range row {
+			if owner[j] != owner[i] {
+				class[i] = 0
+				queue = append(queue, int32(i))
+				break
+			}
+		}
+	}
+	for head := 0; head < len(queue); head++ { // queue grows as it drains
+		i := queue[head]
+		if class[i] >= math.MaxUint16-1 {
+			continue // every node still unreached already holds the cap
+		}
+		row, _ := topo.Row(int(i))
+		for _, j := range row {
+			if owner[j] == owner[i] && class[j] == math.MaxUint16 {
+				class[j] = class[i] + 1
+				queue = append(queue, j)
+			}
+		}
+	}
+	return class
+}
+
+// HopClass returns node id's hop class on a sharded medium (see hopClasses)
+// and 0 on a serial one.
+func (m *Medium) HopClass(id NodeID) uint16 {
+	if m.shard == nil {
+		return 0
+	}
+	return m.shard.class[id]
 }
 
 // broadcastSharded is the sharded Broadcast path: the local receivers of the
@@ -133,6 +190,7 @@ func (m *Medium) broadcastSharded(from NodeID, env Envelope) {
 
 	sh.bcastGen++
 	staged := false
+	cls := uint16(math.MaxUint16) // nearest local receiver's hop class
 	row, dists := m.topo.Row(sender.idx)
 	for k, j := range row {
 		if !m.loss.Delivers(dists[k], m.stream) {
@@ -148,6 +206,7 @@ func (m *Medium) broadcastSharded(from NodeID, env Envelope) {
 		}
 		d.targets = append(d.targets, sh.localEp[j])
 		d.rowPos = append(d.rowPos, int32(k))
+		cls = min(cls, sh.class[j])
 	}
 
 	// The serial kernel schedules exactly one fan-out event when any receiver
@@ -156,7 +215,9 @@ func (m *Medium) broadcastSharded(from NodeID, env Envelope) {
 	var seqRef uint64
 	switch {
 	case len(d.targets) > 0:
+		prev := m.kernel.SetClass(cls)
 		m.kernel.ScheduleArgAt(end, m.deliverFn, d)
+		m.kernel.SetClass(prev)
 		seqRef = m.kernel.LastSeq()
 	case staged:
 		m.freeDelivery(d)

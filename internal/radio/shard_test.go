@@ -1,6 +1,9 @@
 package radio
 
 import (
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/energy"
@@ -187,4 +190,143 @@ func TestShardedMediaPanics(t *testing.T) {
 	})
 	expectPanic("EnableCollisions on a sharded medium", func() { media[0].EnableCollisions() })
 	expectPanic("EnableCSMA on a sharded medium", func() { media[0].EnableCSMA(DefaultCSMA()) })
+}
+
+// TestHopClasses pins the hop classes of NewShardedMedia against brute-force
+// shortest paths on random layouts cut into 2, 3 and 8 strips: a node's class
+// is the fewest hops along same-shard links from it to a node with a link
+// into another shard, or the cap when there is no such path. Every layout
+// carries a linked pair far from the rest, which has none.
+func TestHopClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	field := geom.R(0, 0, 200, 100)
+	const radius = 10
+	for _, shards := range []int{2, 3, 8} {
+		for trial := 0; trial < 4; trial++ {
+			n := 160 + rng.Intn(80)
+			positions := make([]geom.Vec2, n)
+			for i := range positions {
+				positions[i] = geom.V(rng.Float64()*100, rng.Float64()*100)
+			}
+			positions[n-2], positions[n-1] = geom.V(190, 50), geom.V(195, 50)
+			// Equal-count strips by x, as the network builder cuts them: the
+			// isolated pair lands in the last one.
+			order := make([]int, n)
+			for i := range order {
+				order[i] = i
+			}
+			sort.Slice(order, func(a, b int) bool { return positions[order[a]].X < positions[order[b]].X })
+			owner := make([]int32, n)
+			for rank, i := range order {
+				owner[i] = int32(rank * shards / n)
+			}
+			topo := CompileTopology(field, positions, radius)
+			media := NewShardedMedia(sim.NewShardGroup(shards), field, energy.Telos(), UnitDisk{Range: radius}, topo, owner, 12)
+
+			// Bellman–Ford over each node's own links: i reaches another
+			// shard one hop after any same-shard neighbour j it transmits to.
+			want := make([]int, n)
+			for i := range want {
+				want[i] = math.MaxInt
+				row, _ := topo.Row(i)
+				for _, j := range row {
+					if owner[j] != owner[i] {
+						want[i] = 0
+					}
+				}
+			}
+			for changed := true; changed; {
+				changed = false
+				for i := range want {
+					row, _ := topo.Row(i)
+					for _, j := range row {
+						if owner[j] == owner[i] && want[j] != math.MaxInt && want[j]+1 < want[i] {
+							want[i], changed = want[j]+1, true
+						}
+					}
+				}
+			}
+			deep := 0
+			for i := range want {
+				w := uint16(math.MaxUint16)
+				if want[i] != math.MaxInt {
+					w = uint16(want[i])
+					deep = max(deep, want[i])
+				}
+				if got := media[owner[i]].HopClass(NodeID(i)); got != w {
+					t.Fatalf("shards=%d trial %d: node %d has hop class %d, shortest path says %d", shards, trial, i, got, w)
+				}
+			}
+			if got := media[0].HopClass(NodeID(n - 1)); got != math.MaxUint16 {
+				t.Fatalf("shards=%d: isolated node has class %d, want the cap", shards, got)
+			}
+			if deep < 1 {
+				t.Fatalf("shards=%d trial %d: every reachable node is a boundary node; the layout tests no search", shards, trial)
+			}
+		}
+	}
+	if got := NewMedium(sim.NewKernel(), field, energy.Telos(), UnitDisk{Range: radius}, nil).HopClass(0); got != 0 {
+		t.Fatalf("serial medium reports hop class %d, want 0", got)
+	}
+}
+
+// stampSink schedules one event a second after each delivery it accepts.
+type stampSink struct {
+	k         *sim.Kernel
+	listening bool
+}
+
+func (s *stampSink) Listening() bool { return s.listening }
+func (s *stampSink) Deliver(NodeID, Envelope) {
+	s.k.Schedule(1, func(*sim.Kernel) {})
+}
+
+// TestShardedClassStamps pins the hop class sharded events carry, read back
+// through WindowEnd: a local fan-out takes its nearest receiver's class, the
+// broadcasting handler keeps its own, and what a receiver schedules on
+// delivery takes the receiver's. The line links neighbours only and is cut
+// 4|1, so its classes are 3 2 1 0 | 0.
+func TestShardedClassStamps(t *testing.T) {
+	field := geom.R(0, 0, 100, 100)
+	var positions []geom.Vec2
+	for i := 0; i < 5; i++ {
+		positions = append(positions, geom.V(10+4*float64(i), 50))
+	}
+	owner := []int32{0, 0, 0, 0, 1}
+	topo := CompileTopology(field, positions, 5)
+	group := sim.NewShardGroup(2)
+	media := NewShardedMedia(group, field, energy.Telos(), UnitDisk{Range: 5}, topo, owner, 12)
+	for i, pos := range positions {
+		m := media[owner[i]]
+		// Node 2 sleeps, so only node 0 (class 3) acts on node 1's broadcast.
+		m.AddNode(NodeID(i), pos, &stampSink{k: m.kernel, listening: i != 2}, nil)
+	}
+	for i, want := range []uint16{3, 2, 1, 0, 0} {
+		if got := media[owner[i]].HopClass(NodeID(i)); got != want {
+			t.Fatalf("node %d has hop class %d, want %d", i, got, want)
+		}
+	}
+	w := energy.Telos().TxTime(12)
+	// windowEnd is WindowEnd over one event at `at` of class cls.
+	windowEnd := func(at float64, cls uint16) float64 {
+		ref := sim.NewShardGroup(2)
+		ref.Shard(0).SetClass(cls)
+		ref.Shard(0).ScheduleAt(at, func(*sim.Kernel) {})
+		return ref.WindowEnd(w)
+	}
+
+	group.BeginWindows()
+	k := media[0].kernel
+	k.SetClass(2) // as node 1's own handler runs
+	media[0].Broadcast(1, Envelope{Kind: KindRequest, Wire: 12})
+	if prev := k.SetClass(0); prev != 2 {
+		t.Fatalf("broadcast left the handler's class at %d, want 2", prev)
+	}
+	if got, want := group.WindowEnd(w), windowEnd(w, 1); got != want {
+		t.Fatalf("fan-out to classes 3 and 1: WindowEnd = %v, want %v (class 1)", got, want)
+	}
+	k.Step() // the fan-out: node 0 schedules, node 2 sleeps
+	if got, want := group.WindowEnd(w), windowEnd(w+1, 3); got != want {
+		t.Fatalf("after delivery to node 0: WindowEnd = %v, want %v (class 3)", got, want)
+	}
 }

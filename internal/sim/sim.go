@@ -62,9 +62,13 @@ type EventID uint64
 // free (on the freelist). Exactly one of handler/argh is non-nil while
 // pending; arg rides along with argh.
 type event struct {
-	at      Time
-	seq     uint64 // tie-breaker: FIFO among equal times
-	gen     uint32 // current occupant generation
+	at  Time
+	seq uint64 // tie-breaker: FIFO among equal times
+	gen uint32 // current occupant generation
+	// cls is the hop class of the node the event acts for, stamped only on
+	// the shards of a ShardGroup (see window.go); it fills padding, so the
+	// slot stays 56 bytes.
+	cls     uint16
 	handler Handler
 	argh    ArgHandler
 	arg     any
@@ -147,6 +151,7 @@ func (k *Kernel) scheduleSlot(at Time) (int32, *event) {
 	slot, e := k.claimSlot(at)
 	if k.ws != nil {
 		e.seq = k.ws.nextSeq(slot, e.gen)
+		e.cls = k.ws.cls
 	} else {
 		e.seq = k.nextSeq
 		k.nextSeq++
@@ -246,8 +251,9 @@ func (k *Kernel) Step() bool {
 		k.processed++
 		if k.ws != nil {
 			// Sharded mode: record the execution key so events this handler
-			// schedules can be ordered exactly as the serial kernel would.
-			k.ws.begin(at, seq)
+			// schedules can be ordered exactly as the serial kernel would,
+			// and its hop class, which they inherit. retire left cls intact.
+			k.ws.begin(at, seq, e.cls)
 		}
 		if ah != nil {
 			ah(k, arg)

@@ -16,18 +16,30 @@
 //
 // # Window protocol
 //
-// Shards advance in lockstep windows [T, T+W) where W is the minimum
-// cross-shard delivery delay (the shortest on-air transmission time): an
-// event executing inside a window can only influence another shard at or
-// after the window's end, so within a window the shards are causally
-// independent. During a window each shard assigns *provisional* sequence
-// numbers (the high bit set, then the local log index) and appends one
-// record per schedule call to its window log: the scheduling parent's
-// execution key and the intra-parent call index k. Provisional numbers sort
-// after every previously assigned serial number (the serial kernel would
-// have scheduled those events later) and among themselves by local log order
-// (the serial scheduling suborder of one causally isolated shard), so heap
-// ordering inside the window is already serially correct.
+// Shards advance in lockstep windows, each ending where the earliest
+// pending event could first influence another shard, so within a window the
+// shards are causally independent. Influence crosses a strip boundary only by
+// radio, and every transmission is on air for at least W, the shortest
+// transmission time. Each event carries the hop class of the node it acts
+// for: the fewest same-shard radio hops from that node to one with a link
+// into another shard (radio.NewShardedMedia computes it once over the frozen
+// topology). An event at time t of class c reaches another shard no sooner
+// than t + (c+1)·W, and WindowEnd returns the minimum of that bound over
+// every pending event: the Chandy–Misra–Bryant lookahead, with the radio
+// graph as the channel map. Events inherit the class of the handler that
+// schedules them. A delivery handler switches to each receiver's class
+// (SetClass), a local fan-out takes its nearest receiver's, an injected
+// boundary fragment is class 0 (its receivers border the sending shard), and
+// outside any handler the class is 0, the bound with no lookahead to spare.
+//
+// During a window each shard assigns *provisional* sequence numbers (the
+// high bit set, then the local log index) and appends one record per
+// schedule call to its window log: the scheduling parent's execution key and
+// the intra-parent call index k. Provisional numbers sort after every
+// previously assigned serial number (the serial kernel would have scheduled
+// those events later) and among themselves by local log order (the serial
+// scheduling suborder of one causally isolated shard), so heap ordering
+// inside the window is already serially correct.
 //
 // At the window barrier, EndWindow k-way merges the shard logs by
 // (parentAt, resolved parent seq, k) — each log is sorted by that key, and a
@@ -52,7 +64,10 @@
 // event population carries byte-identical keys to the serial kernel's.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // provSeqBit marks a provisional (window-local) sequence number. Real serial
 // sequence numbers are counters starting at zero and can never reach bit 63.
@@ -85,14 +100,17 @@ type winSeq struct {
 	parentSeq uint64
 	kNext     uint64
 	kLimit    uint64 // exclusive cap on kNext while inside a fan-out; 0 = none
+	cls       uint16 // hop class stamped on the events scheduled next
 }
 
-// begin records the execution key of the event about to run (called by Step).
-func (w *winSeq) begin(at Time, seq uint64) {
+// begin records the execution key and hop class of the event about to run
+// (called by Step).
+func (w *winSeq) begin(at Time, seq uint64, cls uint16) {
 	w.parentAt = at
 	w.parentSeq = seq
 	w.kNext = 0
 	w.kLimit = 0
+	w.cls = cls
 }
 
 // nextSeq issues the sequence number for one schedule call. Direct mode
@@ -242,6 +260,7 @@ func (g *ShardGroup) EndWindow() {
 			}
 		}
 		k.ws.log = k.ws.log[:0]
+		k.ws.cls = 0 // no handler runs between windows
 	}
 }
 
@@ -295,10 +314,25 @@ func (k *Kernel) SetFanKey(rowPos int) {
 	w.kLimit = base + 1<<fanKeyShift
 }
 
+// SetClass sets the hop class stamped on the events scheduled from here on,
+// until the next event runs, and returns the previous one. Use it around work
+// done for one node outside its own events: construction, agent start, one
+// receiver of a fan-out. No-op returning 0 on serial kernels.
+func (k *Kernel) SetClass(cls uint16) uint16 {
+	w := k.ws
+	if w == nil {
+		return 0
+	}
+	prev := w.cls
+	w.cls = cls
+	return prev
+}
+
 // InjectArgAt schedules h at time at with an explicit, externally resolved
 // sequence number, bypassing the shard sequencer: the event is a fragment of
 // an event another shard already sequenced (a cross-shard sub-fan-out), not
 // a new serial position. Only meaningful between windows or in direct mode.
+// The fragment is class 0: its receivers border the sending shard.
 func (k *Kernel) InjectArgAt(at Time, seq uint64, h ArgHandler, arg any) EventID {
 	if h == nil {
 		panic("sim: schedule nil handler")
@@ -308,11 +342,57 @@ func (k *Kernel) InjectArgAt(at Time, seq uint64, h ArgHandler, arg any) EventID
 	}
 	slot, e := k.claimSlot(at)
 	e.seq = seq
+	e.cls = 0
 	e.argh = h
 	e.arg = arg
 	k.live++
 	k.heapPush(slot)
 	return EventID(uint64(e.gen)<<32 | uint64(uint32(slot)))
+}
+
+// WindowEnd returns the end of the next conservative window: the earliest
+// reach (see reach) over the pending events of every shard, +Inf when none is
+// pending. Call it at a barrier, with every shard idle. Each shard's 4-ary
+// heap is walked from the root, pruning a subtree once its root cannot beat
+// the best so far: every event below it is no earlier, and none reaches
+// sooner than w after its own time.
+func (g *ShardGroup) WindowEnd(w Time) Time {
+	best := math.Inf(1)
+	for _, k := range g.shards {
+		if len(k.heap) > 0 {
+			best = k.reachBelow(0, w, best)
+		}
+	}
+	return best
+}
+
+// reachBelow lowers best to the earliest reach in the heap subtree rooted at
+// heap index i. Cancelled slots still order their subtrees, so the walk
+// passes through them without counting them.
+func (k *Kernel) reachBelow(i int, w, best Time) Time {
+	e := &k.arena[k.heap[i]]
+	if reach(e.at, 0, w) >= best {
+		return best
+	}
+	if e.pending() {
+		best = min(best, reach(e.at, e.cls, w))
+	}
+	for c := 4*i + 1; c <= 4*i+4 && c < len(k.heap); c++ {
+		best = k.reachBelow(c, w, best)
+	}
+	return best
+}
+
+// reach is the earliest time an event at `at` of hop class cls can influence
+// another shard: cls+1 transmissions of at least w each. A chain of
+// transmissions adds them to the clock one rounding at a time and can land
+// below the product form, so the product is shaved by the relative
+// (cls+4)·2^-52, which covers those cls+1 roundings and the three here: no
+// event another shard injects lands before the window's end. The result is
+// nondecreasing in at and in cls, which the pruned walk relies on.
+func reach(at Time, cls uint16, w Time) Time {
+	r := at + (Time(cls)+1)*w
+	return r - r*(Time(cls)+4)*0x1p-52
 }
 
 // NextEventTime returns the timestamp of the earliest pending event,

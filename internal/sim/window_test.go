@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // execRec is one executed event as observed by the tie tests: its execution
@@ -362,5 +364,109 @@ func TestNextEventTimeSkipsCancelled(t *testing.T) {
 	}
 	if _, ok := NewKernel().NextEventTime(); ok {
 		t.Fatal("empty kernel reported a pending event")
+	}
+}
+
+// windowEndScan is WindowEnd by brute force: the earliest reach over every
+// pending slot of every shard's arena.
+func windowEndScan(g *ShardGroup, w Time) Time {
+	best := math.Inf(1)
+	for _, k := range g.shards {
+		for i := range k.arena {
+			if e := &k.arena[i]; e.pending() {
+				best = min(best, reach(e.at, e.cls, w))
+			}
+		}
+	}
+	return best
+}
+
+// randomClassHeaps fills each shard of g with up to 300 events at random
+// (often tied) times under random hop classes, cancels about a third of them
+// and executes a few, so the heaps hold dead slots at every depth.
+func randomClassHeaps(rng *rand.Rand, g *ShardGroup) {
+	h := func(*Kernel) {}
+	for _, k := range g.shards {
+		var ids []EventID
+		for n := rng.Intn(300); n > 0; n-- {
+			cls := uint16(rng.Intn(60))
+			switch rng.Intn(20) {
+			case 0:
+				cls = math.MaxUint16
+			case 1:
+				cls = 0
+			}
+			k.SetClass(cls)
+			at := Time(rng.Intn(40)) * 0.25
+			if rng.Intn(2) == 0 {
+				at = rng.Float64() * 10
+			}
+			ids = append(ids, k.ScheduleAt(at, h))
+		}
+		k.SetClass(0)
+		for _, id := range ids {
+			if rng.Intn(3) == 0 {
+				k.Cancel(id)
+			}
+		}
+		for n := rng.Intn(4); n > 0; n-- {
+			k.Step()
+		}
+	}
+}
+
+// TestWindowEnd pins the pruned heap walk of WindowEnd to a full scan over
+// random heaps with random hop classes and cancelled slots, at several
+// lookahead lengths, and pins reach below the chained sum it bounds: the time
+// a class-c event's influence arrives after c+1 transmissions of w, each added
+// to the clock with its own rounding.
+func TestWindowEnd(t *testing.T) {
+	if got := NewShardGroup(2).WindowEnd(1); !math.IsInf(got, 1) {
+		t.Fatalf("WindowEnd with nothing pending = %g, want +Inf", got)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 200; trial++ {
+		g := NewShardGroup(2 + rng.Intn(3))
+		randomClassHeaps(rng, g)
+		for _, w := range []Time{384e-6, 0.01, 0.3, 2} {
+			if got, want := g.WindowEnd(w), windowEndScan(g, w); got != want {
+				t.Fatalf("trial %d, w=%g: WindowEnd = %v, full scan %v", trial, w, got, want)
+			}
+		}
+	}
+
+	for i := 0; i < 200000; i++ {
+		at := math.Ldexp(rng.Float64(), rng.Intn(40)-20)
+		w := math.Ldexp(1+rng.Float64(), -rng.Intn(24))
+		cls := uint16(rng.Intn(64))
+		chained := at
+		for h := 0; h <= int(cls); h++ {
+			chained += w
+		}
+		if r := reach(at, cls, w); r > chained {
+			t.Fatalf("reach(%v, %d, %v) = %v exceeds the chained sum %v", at, cls, w, r, chained)
+		}
+		if reach(at, cls, w) < reach(at, 0, w) {
+			t.Fatalf("reach(%v, %d, %v) below class 0's", at, cls, w)
+		}
+	}
+}
+
+// TestWindowEndZeroAllocs pins the barrier walk allocation-free: it runs once
+// per window.
+func TestWindowEndZeroAllocs(t *testing.T) {
+	g := NewShardGroup(3)
+	randomClassHeaps(rand.New(rand.NewSource(3)), g)
+	allocs := testing.AllocsPerRun(1000, func() { g.WindowEnd(384e-6) })
+	if allocs != 0 {
+		t.Errorf("WindowEnd allocates %g allocs/op, want 0", allocs)
+	}
+}
+
+// TestEventSlotSize pins the arena slot at 56 bytes: the hop class rides in
+// padding after the generation, so stamping it costs no memory.
+func TestEventSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 56 {
+		t.Fatalf("event slot is %d bytes, want 56", got)
 	}
 }

@@ -240,18 +240,26 @@
 //     barrier): RunConfig.Shards ≥ 2 (passim -shards N) partitions the
 //     deployment into contiguous spatial strips over the frozen CSR
 //     topology, gives each strip its own arena kernel and medium, and
-//     advances all shards in lockstep conservative windows of length
-//     W = TxTime(minWire) — the shortest possible on-air transmission, hence
-//     the minimum delay before an event on one shard can influence another.
+//     advances all shards in lockstep conservative windows. The per-hop
+//     lookahead is W = TxTime(minWire), the shortest possible on-air
+//     transmission: an event at a node c radio hops inside its strip cannot
+//     influence another shard sooner than (c+1)·W after it, so a window
+//     ends at the earliest such instant over all pending events (the hop
+//     classes come from one breadth-first search over the frozen topology).
+//     PAS keeps nodes far from the front asleep, so most events sit many
+//     hops from a strip edge: scale-10k on two shards runs about 14 events
+//     per window instead of under three at a flat W. The calling goroutine
+//     runs shard 0 itself and one goroutine runs each other shard.
 //     Cross-shard deliveries are staged as boundary events and exchanged at
 //     window barriers, and a per-window sequence merge
 //     (internal/sim.ShardGroup) reconstructs the exact serial event order,
 //     so a sharded run is bit-identical to the serial kernel at ANY shard
 //     count — same RunReport, same per-node table, same golden traces (the
-//     byte-identity tests pin 1, 2 and 8 shards against serial on a full
-//     scale-1k run). One shard runs every config; two or more require the
-//     deterministic transmit path: exact unit-disk loss, no collisions, no
-//     CSMA, no fault plan (experiment.Shardable gates, with a clear error).
+//     byte-identity tests pin 1, 2, 3, 4 and 8 shards against serial on a
+//     full scale-1k run). One shard runs every config; two or more require
+//     the deterministic transmit path: exact unit-disk loss, no collisions,
+//     no CSMA, no fault plan (experiment.Shardable gates, with a clear
+//     error).
 //     scale-100k and scale-1m join the scenario registry as the workloads
 //     this enables; BenchmarkScale100k (4 shards) times the headline, with
 //     BenchmarkScale100kSerial as its 1-shard speedup reference.
