@@ -543,7 +543,7 @@ func BenchmarkFaultChurn(b *testing.B) {
 		b.Fatal("scale-10k missing from the registry")
 	}
 	sp.Failures = pas.FailureSpec{Churn: &pas.ChurnSpec{Fraction: 0.2, MeanDown: 20, MinDown: 5}}
-	sp.Protocol.Liveness = &pas.LivenessSpec{MissK: 3, Interval: 5}
+	sp.Protocol.Liveness = &pas.LivenessConfig{MissK: 3, Interval: 5}
 	cfg, err := pas.RunConfigFromScenario(sp, 1)
 	if err != nil {
 		b.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/scenario"
 )
 
 // extFaultsLiveness is the sink-side liveness configuration every PAS/SAS
@@ -26,11 +25,11 @@ var extFaultsLiveness = fault.LivenessConfig{
 // degrades by an extra x/2 drop probability over the middle half of the
 // horizon. x = 0 is the fault-free control: every model compiles away and
 // the run takes the exact legacy code path.
-func extFaultsSpec(x, horizon float64) scenario.FailureSpec {
-	return scenario.FailureSpec{
-		Churn:  &scenario.ChurnSpec{Fraction: x, MeanDown: 20, MinDown: 5},
-		Sensor: &scenario.SensorSpec{Fraction: x, Drift: 3, Stuck: 0.2, BurstRate: 2, BurstLen: 2},
-		Radio:  &scenario.DegradationSpec{Start: horizon / 4, End: 3 * horizon / 4, Loss: x / 2},
+func extFaultsSpec(x, horizon float64) fault.FailureSpec {
+	return fault.FailureSpec{
+		Churn:  &fault.ChurnSpec{Fraction: x, MeanDown: 20, MinDown: 5},
+		Sensor: &fault.SensorSpec{Fraction: x, Drift: 3, Stuck: 0.2, BurstRate: 2, BurstLen: 2},
+		Radio:  &fault.DegradationSpec{Start: horizon / 4, End: 3 * horizon / 4, Loss: x / 2},
 	}
 }
 

@@ -86,7 +86,7 @@ func TestFailFractionIsUniformCrashPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := fault.Compile(scenario.FailureSpec{Fraction: f}, horizon)
+		plan := fault.Compile(fault.FailureSpec{Fraction: f}, horizon)
 		planned, err := RunOnce(RunConfig{Seed: 3, Faults: plan})
 		if err != nil {
 			t.Fatal(err)

@@ -159,11 +159,9 @@ func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 	if err := Shardable(rc); err != nil {
 		return nil, rc, err
 	}
-	if !(rc.FailFraction >= 0 && rc.FailFraction <= 1) {
-		return nil, rc, fmt.Errorf("experiment: failure fraction %g outside [0, 1]", rc.FailFraction)
-	}
-	if rc.FailBy < 0 {
-		return nil, rc, fmt.Errorf("experiment: negative failure deadline %g", rc.FailBy)
+	failures := fault.FailureSpec{Fraction: rc.FailFraction, By: rc.FailBy}
+	if err := failures.Validate(); err != nil {
+		return nil, rc, fmt.Errorf("experiment: %w", err)
 	}
 	agents, err := rc.agents()
 	if err != nil {
@@ -182,8 +180,8 @@ func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 	// per-run stream and clock); MaxRange delegates to the base model, so the
 	// memoized topology below is shared with undegraded cells.
 	var degraded *fault.DegradedLoss
-	if rc.Faults != nil && rc.Faults.Degrade.Loss > 0 {
-		degraded = fault.NewDegradedLoss(loss, rc.Faults.Degrade, src.Stream("fault/degrade"))
+	if rc.Faults != nil && rc.Faults.Spec.Radio != nil {
+		degraded = fault.NewDegradedLoss(loss, *rc.Faults.Spec.Radio, src.Stream("fault/degrade"))
 		loss = degraded
 	}
 	// The CSR connectivity is memoized alongside the deployment: every cell
@@ -209,7 +207,6 @@ func Build(rc RunConfig) (*node.Network, RunConfig, error) {
 	}
 	if rc.FailFraction > 0 {
 		// The legacy uniform kill: the crash plan's "failures" stream.
-		failures := scenario.FailureSpec{Fraction: rc.FailFraction, By: rc.FailBy}
 		fault.Compile(failures, rc.Scenario.Horizon).Apply(src, nw.Nodes)
 	}
 	if degraded != nil {

@@ -12,7 +12,10 @@ import (
 	"repro/internal/scenario"
 )
 
-// FromScenario compiles a declarative scenario spec into a run config: the
+// FromScenario compiles a declarative scenario spec into a run config. It
+// compiles the spec's normalized form (scenario.Scenario.Normalized), the
+// one Canonical hashes, so a spec and its canonical form build the same run
+// and every default comes from the function that normalizes it: the
 // stimulus is built (stochastic stimuli draw from the seed), the deployment
 // spec and channel model are installed, and the spec's protocol overrides are
 // applied on top of the defaults. The caller may still override Protocol and
@@ -21,6 +24,7 @@ func FromScenario(sp scenario.Scenario, seed int64) (RunConfig, error) {
 	if err := sp.Validate(); err != nil {
 		return RunConfig{}, err
 	}
+	sp = sp.Normalized()
 	ds, err := sp.BuildStimulus(seed)
 	if err != nil {
 		return RunConfig{}, err
@@ -39,49 +43,34 @@ func FromScenario(sp scenario.Scenario, seed int64) (RunConfig, error) {
 		Loss:       loss,
 		Collisions: sp.Radio.Collisions,
 	}
-	if fault.Extended(sp.Failures) {
-		// Extended fault models compile into a plan; the legacy FailFraction
-		// fields stay zero so Build's old kill loop is skipped and the plan's
-		// crash sub-model (byte-compatible for pure uniform kills) takes over.
-		rc.Faults = fault.Compile(sp.Failures, sp.Horizon)
+	if f := sp.Failures; f.Extended() {
+		// Extended fault models compile into a plan; the FailFraction fields
+		// stay zero so Build's uniform kill is skipped and the plan's crash
+		// model (byte-compatible for pure uniform kills) takes over.
+		rc.Faults = fault.Compile(f, sp.Horizon)
 	} else {
-		rc.FailFraction = sp.Failures.Fraction
-		rc.FailBy = sp.Failures.By
+		rc.FailFraction, rc.FailBy = f.Fraction, f.By
 	}
 	if sp.Radio.CSMA {
 		csma := radio.DefaultCSMA()
 		rc.CSMA = &csma
 	}
 	rc = rc.Defaults()
-	if p := sp.Protocol; p.MaxSleep > 0 || p.SleepIncrement > 0 {
-		if p.MaxSleep > 0 {
-			rc.PAS.SleepMax = p.MaxSleep
-			rc.SAS.SleepMax = p.MaxSleep
-		}
-		inc := p.SleepIncrement
-		if inc <= 0 {
-			inc = p.MaxSleep / 5 // the conventional ramp for the spec's cap
-		}
-		rc.PAS.SleepIncrement = inc
-		rc.SAS.SleepIncrement = inc
+	p := sp.Protocol
+	if p.MaxSleep > 0 {
+		rc.PAS.SleepMax, rc.SAS.SleepMax = p.MaxSleep, p.MaxSleep
 	}
-	if t := sp.Protocol.AlertThreshold; t > 0 {
-		rc.PAS.AlertThreshold = t
-		rc.SAS.AlertThreshold = t
+	if p.SleepIncrement > 0 {
+		rc.PAS.SleepIncrement, rc.SAS.SleepIncrement = p.SleepIncrement, p.SleepIncrement
 	}
-	if lv := sp.Protocol.Liveness; lv != nil {
-		lc := fault.LivenessConfig{
-			MissK:       lv.MissK,
-			Interval:    lv.Interval,
-			BackoffInit: lv.BackoffInit,
-			BackoffMax:  lv.BackoffMax,
-			MaxProbes:   lv.MaxProbes,
-		}.WithDefaults()
-		rc.PAS.Liveness = lc
-		rc.SAS.Liveness = lc
+	if p.AlertThreshold > 0 {
+		rc.PAS.AlertThreshold, rc.SAS.AlertThreshold = p.AlertThreshold, p.AlertThreshold
 	}
-	if pr := sp.Protocol.Predictor; pr != nil {
-		rc.PAS.Predictor = pr.Spec()
+	if p.Liveness != nil {
+		rc.PAS.Liveness, rc.SAS.Liveness = *p.Liveness, *p.Liveness
+	}
+	if p.Predictor != nil {
+		rc.PAS.Predictor = *p.Predictor
 	}
 	return rc, nil
 }

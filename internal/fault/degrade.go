@@ -18,14 +18,15 @@ import (
 // one wrapper across replicated runs.
 type DegradedLoss struct {
 	base   radio.LossModel
-	plan   DegradePlan
+	plan   DegradationSpec
 	st     *rng.Stream
 	kernel *sim.Kernel
 }
 
-// NewDegradedLoss wraps base with the plan's degradation window, drawing
-// the extra drops from st (conventionally src.Stream("fault/degrade")).
-func NewDegradedLoss(base radio.LossModel, p DegradePlan, st *rng.Stream) *DegradedLoss {
+// NewDegradedLoss wraps base with a normalized degradation window (End
+// set), drawing the extra drops from st (conventionally
+// src.Stream("fault/degrade")).
+func NewDegradedLoss(base radio.LossModel, p DegradationSpec, st *rng.Stream) *DegradedLoss {
 	return &DegradedLoss{base: base, plan: p, st: st}
 }
 

@@ -1,12 +1,12 @@
 // Package fault is the deterministic fault-injection subsystem of the PAS
-// reproduction. A scenario's FailureSpec compiles (Compile) into a pure-data
-// Plan; applying the plan to a built network (Plan.Apply) schedules
-// crash-stop kills (time-windowed, optionally spatially clustered),
-// crash-recovery churn (nodes go dark and rejoin — reusing the frozen
-// network topology, since positions never change), and installs sensor
-// miscalibration models (additive drift, stuck-at, burst noise) between
-// stimulus and reading. Radio degradation windows wrap the channel loss
-// model (DegradedLoss).
+// reproduction. A FailureSpec — the failures section of a scenario spec —
+// compiles (Compile) into a pure-data Plan; applying the plan to a built
+// network (Plan.Apply) schedules crash-stop kills (time-windowed,
+// optionally spatially clustered), crash-recovery churn (nodes go dark and
+// rejoin — reusing the frozen network topology, since positions never
+// change), and installs sensor miscalibration models (additive drift,
+// stuck-at, burst noise) between stimulus and reading. Radio degradation
+// windows wrap the channel loss model (DegradedLoss).
 //
 // Every random draw comes from a named rng stream ("failures" for the
 // legacy uniform crash case — byte-compatible with the pre-fault kill loop —
@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/node"
 	"repro/internal/rng"
-	"repro/internal/scenario"
 )
 
 // Plan is a compiled fault schedule: pure data, safe to share across
@@ -35,84 +34,15 @@ type Plan struct {
 	// Horizon is the simulated duration the windows were materialized
 	// against.
 	Horizon float64
-	// Crash, Churn, Sensor and Degrade are the per-model schedules; a zero
-	// Fraction (or Loss) disables the model.
-	Crash   CrashPlan
-	Churn   ChurnPlan
-	Sensor  SensorPlan
-	Degrade DegradePlan
+	// Spec is the normalized fault spec: every window end is set and every
+	// disabled model is absent (see FailureSpec.Normalized).
+	Spec FailureSpec
 }
 
-// CrashPlan kills Fraction of the nodes at uniform times in [From, By]. A
-// positive ClusterRadius selects the victims nearest a random epicentre
-// (within the radius) instead of uniformly at random.
-type CrashPlan struct {
-	Fraction      float64
-	From          float64
-	By            float64
-	ClusterRadius float64
-}
-
-// ChurnPlan takes Fraction of the nodes down at a uniform time in
-// [Start, By] for MinDown plus an exponential draw with mean MeanDown
-// seconds, then recovers them in place.
-type ChurnPlan struct {
-	Fraction float64
-	MeanDown float64
-	MinDown  float64
-	Start    float64
-	By       float64
-}
-
-// SensorPlan miscalibrates Fraction of the nodes; see SensorState.
-type SensorPlan struct {
-	Fraction  float64
-	Drift     float64
-	Stuck     float64
-	BurstRate float64
-	BurstLen  float64
-}
-
-// DegradePlan layers an extra per-delivery drop probability Loss on the
-// channel during [Start, End]; see DegradedLoss.
-type DegradePlan struct {
-	Start float64
-	End   float64
-	Loss  float64
-}
-
-// Extended reports whether the spec uses any fault model beyond the legacy
-// uniform crash-stop kill — the routing predicate the experiment harness
-// uses to decide between the byte-compatible legacy path and Compile.
-func Extended(f scenario.FailureSpec) bool { return f.Extended() }
-
-// Compile materializes a FailureSpec into a Plan against the given horizon:
-// zero window ends default to the horizon, mirroring the spec's canonical
-// normalization, so a spec and its canonical form compile identically.
-func Compile(f scenario.FailureSpec, horizon float64) *Plan {
-	p := &Plan{Horizon: horizon}
-	if f.Fraction > 0 {
-		p.Crash = CrashPlan{Fraction: f.Fraction, From: f.From, By: f.By, ClusterRadius: f.ClusterRadius}
-		if p.Crash.By == 0 {
-			p.Crash.By = horizon
-		}
-	}
-	if c := f.Churn; c != nil && c.Fraction > 0 {
-		p.Churn = ChurnPlan{Fraction: c.Fraction, MeanDown: c.MeanDown, MinDown: c.MinDown, Start: c.Start, By: c.By}
-		if p.Churn.By == 0 {
-			p.Churn.By = horizon
-		}
-	}
-	if s := f.Sensor; s != nil && s.Fraction > 0 {
-		p.Sensor = SensorPlan{Fraction: s.Fraction, Drift: s.Drift, Stuck: s.Stuck, BurstRate: s.BurstRate, BurstLen: s.BurstLen}
-	}
-	if d := f.Radio; d != nil && d.Loss > 0 {
-		p.Degrade = DegradePlan{Start: d.Start, End: d.End, Loss: d.Loss}
-		if p.Degrade.End == 0 {
-			p.Degrade.End = horizon
-		}
-	}
-	return p
+// Compile normalizes a FailureSpec against the horizon into a Plan, so a
+// spec and its normalized form compile to the same plan.
+func Compile(f FailureSpec, horizon float64) *Plan {
+	return &Plan{Horizon: horizon, Spec: f.Normalized(horizon)}
 }
 
 // Apply draws the plan's per-run randomness from src and schedules every
@@ -136,7 +66,7 @@ func fraction(f float64, n int) int {
 }
 
 func (p *Plan) applyCrash(src *rng.Source, nodes []*node.Node) {
-	c := p.Crash
+	c := p.Spec
 	if c.Fraction <= 0 {
 		return
 	}
@@ -186,8 +116,8 @@ func (p *Plan) applyCrash(src *rng.Source, nodes []*node.Node) {
 }
 
 func (p *Plan) applyChurn(src *rng.Source, nodes []*node.Node) {
-	c := p.Churn
-	if c.Fraction <= 0 {
+	c := p.Spec.Churn
+	if c == nil {
 		return
 	}
 	n := len(nodes)
@@ -205,14 +135,14 @@ func (p *Plan) applyChurn(src *rng.Source, nodes []*node.Node) {
 }
 
 func (p *Plan) applySensor(src *rng.Source, nodes []*node.Node) {
-	s := p.Sensor
-	if s.Fraction <= 0 {
+	s := p.Spec.Sensor
+	if s == nil {
 		return
 	}
 	n := len(nodes)
 	st := src.Stream("fault/sensor")
 	for _, idx := range st.Perm(n)[:fraction(s.Fraction, n)] {
 		nd := nodes[idx]
-		nd.SetSensor(NewSensorState(s, p.Horizon, src.StreamN("fault/sensor", int(nd.ID()))))
+		nd.SetSensor(NewSensorState(*s, p.Horizon, src.StreamN("fault/sensor", int(nd.ID()))))
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/node"
 	"repro/internal/radio"
 	"repro/internal/rng"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -59,39 +58,52 @@ func failTime(n *node.Node, horizon float64) float64 {
 }
 
 func TestCompileMaterializesWindows(t *testing.T) {
-	p := Compile(scenario.FailureSpec{Fraction: 0.2}, 100)
-	if p.Crash.By != 100 {
-		t.Errorf("crash deadline = %g, want the horizon", p.Crash.By)
+	p := Compile(FailureSpec{Fraction: 0.2}, 100)
+	if p.Spec.By != 100 {
+		t.Errorf("crash deadline = %g, want the horizon", p.Spec.By)
 	}
-	p = Compile(scenario.FailureSpec{
-		Churn: &scenario.ChurnSpec{Fraction: 0.3, MeanDown: 10},
-		Radio: &scenario.DegradationSpec{Loss: 0.2, Start: 25},
+	p = Compile(FailureSpec{
+		Churn: &ChurnSpec{Fraction: 0.3, MeanDown: 10},
+		Radio: &DegradationSpec{Loss: 0.2, Start: 25},
 	}, 100)
-	if p.Crash.Fraction != 0 {
+	if p.Spec.Fraction != 0 {
 		t.Error("no crash section, but a crash plan compiled")
 	}
-	if p.Churn.By != 100 || p.Degrade.End != 100 {
-		t.Errorf("window ends not defaulted to the horizon: churn %g, degrade %g", p.Churn.By, p.Degrade.End)
+	if p.Spec.Churn.By != 100 || p.Spec.Radio.End != 100 {
+		t.Errorf("window ends not defaulted to the horizon: churn %g, degrade %g", p.Spec.Churn.By, p.Spec.Radio.End)
 	}
-	// Disabled (zero-fraction / zero-loss) sections compile to nothing.
-	p = Compile(scenario.FailureSpec{
-		Churn:  &scenario.ChurnSpec{MeanDown: 10},
-		Sensor: &scenario.SensorSpec{Drift: 3},
-		Radio:  &scenario.DegradationSpec{Start: 1, End: 2},
+	// Disabled (zero-fraction / zero-loss) sections compile to nothing, and
+	// a crash window without a crash fraction drops.
+	p = Compile(FailureSpec{
+		From:   5,
+		Churn:  &ChurnSpec{MeanDown: 10},
+		Sensor: &SensorSpec{Drift: 3},
+		Radio:  &DegradationSpec{Start: 1, End: 2},
 	}, 100)
-	if p.Churn.Fraction != 0 || p.Sensor.Fraction != 0 || p.Degrade.Loss != 0 {
-		t.Errorf("disabled sections compiled: %+v", p)
+	if p.Spec != (FailureSpec{}) {
+		t.Errorf("disabled sections compiled: %+v", p.Spec)
 	}
-	if !Extended(scenario.FailureSpec{From: 5, Fraction: 0.1}) {
+	if !(FailureSpec{From: 5, Fraction: 0.1}).Extended() {
 		t.Error("windowed crash not classified extended")
 	}
-	if Extended(scenario.FailureSpec{Fraction: 0.1, By: 50}) {
+	if (FailureSpec{Fraction: 0.1, By: 50}).Extended() {
 		t.Error("legacy crash classified extended")
+	}
+	// The plan owns its sub-specs: editing the compiled spec afterwards
+	// cannot change it.
+	f := FailureSpec{Churn: &ChurnSpec{Fraction: 0.3}}
+	p = Compile(f, 100)
+	f.Churn.Fraction = 0.9
+	if p.Spec.Churn.Fraction != 0.3 {
+		t.Error("plan aliases the spec's churn section")
+	}
+	if n := p.Spec.Normalized(100); n.Churn.By != 100 || n.Churn.Fraction != 0.3 {
+		t.Errorf("normalizing a normalized spec changed it: %+v", n.Churn)
 	}
 }
 
 func TestApplyLegacyCrashIsDeterministic(t *testing.T) {
-	plan := Compile(scenario.FailureSpec{Fraction: 0.3}, 100)
+	plan := Compile(FailureSpec{Fraction: 0.3}, 100)
 	run := func() (map[int]bool, []float64) {
 		k, nodes := rig(t, 20)
 		plan.Apply(rng.NewSource(9), nodes)
@@ -128,7 +140,7 @@ func TestApplyLegacyCrashIsDeterministic(t *testing.T) {
 }
 
 func TestApplyWindowedCrash(t *testing.T) {
-	plan := Compile(scenario.FailureSpec{Fraction: 0.5, From: 40, By: 60}, 100)
+	plan := Compile(FailureSpec{Fraction: 0.5, From: 40, By: 60}, 100)
 	k, nodes := rig(t, 10)
 	plan.Apply(rng.NewSource(3), nodes)
 	k.RunUntil(100)
@@ -151,7 +163,7 @@ func TestApplyClusteredCrashIsSpatial(t *testing.T) {
 	// Nodes sit on a line 5 m apart; a 7 m cluster radius admits at most the
 	// epicentre and its two immediate neighbours, so the victims must be
 	// contiguous — a uniform draw of 3 of 20 would almost surely not be.
-	plan := Compile(scenario.FailureSpec{Fraction: 0.6, ClusterRadius: 7}, 100)
+	plan := Compile(FailureSpec{Fraction: 0.6, ClusterRadius: 7}, 100)
 	k, nodes := rig(t, 20)
 	plan.Apply(rng.NewSource(5), nodes)
 	k.RunUntil(100)
@@ -172,8 +184,8 @@ func TestApplyClusteredCrashIsSpatial(t *testing.T) {
 }
 
 func TestApplyChurnFailsAndRecovers(t *testing.T) {
-	plan := Compile(scenario.FailureSpec{
-		Churn: &scenario.ChurnSpec{Fraction: 0.4, MeanDown: 5, MinDown: 2, Start: 10, By: 50},
+	plan := Compile(FailureSpec{
+		Churn: &ChurnSpec{Fraction: 0.4, MeanDown: 5, MinDown: 2, Start: 10, By: 50},
 	}, 200)
 	k, nodes := rig(t, 10)
 	plan.Apply(rng.NewSource(11), nodes)
@@ -202,8 +214,8 @@ func TestApplyChurnFailsAndRecovers(t *testing.T) {
 }
 
 func TestApplySensorInstallsModels(t *testing.T) {
-	plan := Compile(scenario.FailureSpec{
-		Sensor: &scenario.SensorSpec{Fraction: 0.5, Drift: 3},
+	plan := Compile(FailureSpec{
+		Sensor: &SensorSpec{Fraction: 0.5, Drift: 3},
 	}, 100)
 	k, nodes := rig(t, 10)
 	plan.Apply(rng.NewSource(2), nodes)
@@ -294,7 +306,7 @@ func TestSensorBursts(t *testing.T) {
 }
 
 func TestNewSensorStateDrawsAreDeterministic(t *testing.T) {
-	p := SensorPlan{Fraction: 1, Drift: 2, Stuck: 0.5, BurstRate: 3, BurstLen: 1}
+	p := SensorSpec{Fraction: 1, Drift: 2, Stuck: 0.5, BurstRate: 3, BurstLen: 1}
 	a := NewSensorState(p, 100, rng.NewSource(7).StreamN("fault/sensor", 4))
 	b := NewSensorState(p, 100, rng.NewSource(7).StreamN("fault/sensor", 4))
 	if a.stuck != b.stuck || a.stuckAt != b.stuckAt || len(a.bursts) != len(b.bursts) {
@@ -330,7 +342,7 @@ func (c *countingLoss) MaxRange() float64                  { return c.rangeM }
 func TestDegradedLossWindow(t *testing.T) {
 	k := sim.NewKernel()
 	base := &countingLoss{rangeM: 12}
-	d := NewDegradedLoss(base, DegradePlan{Start: 10, End: 20, Loss: 1}, rng.NewSource(1).Stream("fault/degrade"))
+	d := NewDegradedLoss(base, DegradationSpec{Start: 10, End: 20, Loss: 1}, rng.NewSource(1).Stream("fault/degrade"))
 	d.Bind(k)
 	st := rng.NewSource(2).Stream("x")
 	if !d.Delivers(1, st) {
@@ -357,7 +369,7 @@ func TestDegradedLossWindow(t *testing.T) {
 
 func TestDegradedLossBaseDropWins(t *testing.T) {
 	k := sim.NewKernel()
-	d := NewDegradedLoss(radio.UnitDisk{Range: 10}, DegradePlan{Start: 0, End: 100, Loss: 0},
+	d := NewDegradedLoss(radio.UnitDisk{Range: 10}, DegradationSpec{Start: 0, End: 100, Loss: 0},
 		rng.NewSource(1).Stream("fault/degrade"))
 	d.Bind(k)
 	if d.Delivers(11, rng.NewSource(2).Stream("x")) {
@@ -366,7 +378,7 @@ func TestDegradedLossBaseDropWins(t *testing.T) {
 }
 
 func TestDegradedLossPanicsUnbound(t *testing.T) {
-	d := NewDegradedLoss(&countingLoss{rangeM: 10}, DegradePlan{End: 10, Loss: 0.5},
+	d := NewDegradedLoss(&countingLoss{rangeM: 10}, DegradationSpec{End: 10, Loss: 0.5},
 		rng.NewSource(1).Stream("fault/degrade"))
 	defer func() {
 		if recover() == nil {
@@ -402,6 +414,7 @@ func TestLivenessConfig(t *testing.T) {
 		{MissK: 3, Interval: 5, BackoffInit: -1},
 		{MissK: 3, Interval: 5, BackoffMax: -2},
 		{MissK: 3, Interval: 5, MaxProbes: -1},
+		{MissK: 3, Interval: 5, BackoffInit: 9, BackoffMax: 4},
 	} {
 		if bad.Validate() == nil {
 			t.Errorf("config %+v validated", bad)

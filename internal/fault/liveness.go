@@ -8,29 +8,31 @@ import (
 	"repro/internal/radio"
 )
 
-// LivenessConfig tunes the sink-side peer liveness tracker. The zero value
-// disables tracking entirely (zero cost on the fault-free path). All fields
-// are scalars so the protocol config structs that embed it stay comparable.
+// LivenessConfig tunes the sink-side peer liveness tracker; it is also the
+// liveness section of a scenario's protocol spec. The zero value disables
+// tracking entirely (zero cost on the fault-free path). All fields are
+// scalars so the protocol config structs that embed it stay comparable.
 type LivenessConfig struct {
 	// MissK is the number of silent report intervals before a peer is
 	// suspect (0 disables the tracker).
-	MissK int
+	MissK int `json:"missK,omitempty"`
 	// Interval is the tick period and the expected report spacing in
-	// seconds.
-	Interval float64
+	// seconds (0 disables the tracker).
+	Interval float64 `json:"interval,omitempty"`
 	// BackoffInit is the first re-probe delay (0 = Interval); each further
 	// probe doubles it, capped at BackoffMax (0 = 8×Interval).
-	BackoffInit float64
-	BackoffMax  float64
+	BackoffInit float64 `json:"backoffInit,omitempty"`
+	BackoffMax  float64 `json:"backoffMax,omitempty"`
 	// MaxProbes is how many unanswered probes precede a death declaration
 	// (0 = 3).
-	MaxProbes int
+	MaxProbes int `json:"maxProbes,omitempty"`
 }
 
 // Enabled reports whether the tracker is on.
 func (c LivenessConfig) Enabled() bool { return c.MissK > 0 && c.Interval > 0 }
 
-// WithDefaults materializes the backoff and probe-budget defaults.
+// WithDefaults materializes the backoff and probe-budget defaults of an
+// enabled config; a disabled one is returned unchanged.
 func (c LivenessConfig) WithDefaults() LivenessConfig {
 	if !c.Enabled() {
 		return c
@@ -51,13 +53,15 @@ func (c LivenessConfig) WithDefaults() LivenessConfig {
 func (c LivenessConfig) Validate() error {
 	switch {
 	case c.MissK < 0:
-		return fmt.Errorf("fault: negative liveness missK %d", c.MissK)
+		return fmt.Errorf("negative liveness missK %d", c.MissK)
 	case c.MissK > 0 && c.Interval <= 0:
-		return fmt.Errorf("fault: liveness interval %g must be positive when missK is set", c.Interval)
+		return fmt.Errorf("liveness interval %g must be positive when missK is set", c.Interval)
 	case c.Interval < 0 || c.BackoffInit < 0 || c.BackoffMax < 0:
-		return fmt.Errorf("fault: negative liveness backoff tunable in %+v", c)
+		return fmt.Errorf("negative liveness tunable in %+v", c)
 	case c.MaxProbes < 0:
-		return fmt.Errorf("fault: negative liveness maxProbes %d", c.MaxProbes)
+		return fmt.Errorf("negative liveness maxProbes %d", c.MaxProbes)
+	case c.BackoffMax > 0 && c.BackoffInit > c.BackoffMax:
+		return fmt.Errorf("liveness backoffInit %g above backoffMax %g", c.BackoffInit, c.BackoffMax)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ type SensorState struct {
 }
 
 // NewSensorState draws one node's miscalibration from its dedicated stream.
-func NewSensorState(p SensorPlan, horizon float64, st *rng.Stream) *SensorState {
+func NewSensorState(p SensorSpec, horizon float64, st *rng.Stream) *SensorState {
 	s := &SensorState{drift: p.Drift}
 	if st.Bernoulli(p.Stuck) {
 		s.stuck = true

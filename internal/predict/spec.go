@@ -28,33 +28,34 @@ const (
 	DefaultTolerance  = 1
 )
 
-// Spec selects and parameterizes a predictor. It is a plain comparable
-// value — core.Config embeds it and must stay usable with == — and its zero
-// value means the paper's estimator with all defaults, so pre-existing
+// Spec selects and parameterizes a predictor; it is also the predictor
+// section of a scenario's protocol spec. It is a plain comparable value —
+// core.Config embeds it and must stay usable with == — and its zero value
+// means the paper's estimator with all defaults, so pre-existing
 // configurations are untouched.
 type Spec struct {
 	// Kind names the predictor: "" or "paper" (the paper's §3.3 estimator,
 	// the default), "lms", "ewma", "ar", "kalman", or "switching" (the
 	// dual-prediction portfolio).
-	Kind string
+	Kind string `json:"kind,omitempty"`
 	// Mu is the NLMS adaptation rate in (0, 2] (lms, switching); 0 selects
 	// DefaultMu.
-	Mu float64
+	Mu float64 `json:"mu,omitempty"`
 	// Alpha is the EWMA smoothing factor in (0, 1] (ewma, switching); 0
 	// selects DefaultAlpha.
-	Alpha float64
+	Alpha float64 `json:"alpha,omitempty"`
 	// Order is the AR model order in 1..4 (ar, switching); 0 selects
 	// DefaultOrder.
-	Order int
+	Order int `json:"order,omitempty"`
 	// ProcessVar and MeasureVar are the scalar Kalman random-walk process
 	// and measurement variances (kalman, switching); 0 selects the default.
-	ProcessVar float64
-	MeasureVar float64
+	ProcessVar float64 `json:"processVar,omitempty"`
+	MeasureVar float64 `json:"measureVar,omitempty"`
 	// Tolerance is the dual-prediction reporting tolerance in seconds
 	// (switching only): a significant change is rebroadcast only when
 	// |model − reading| exceeds it. +Inf suppresses every report; 0 selects
 	// DefaultTolerance.
-	Tolerance float64
+	Tolerance float64 `json:"tolerance,omitempty"`
 }
 
 // info describes one registered predictor kind for -list output.

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/predict"
 )
 
 // TestLegacyFailuresJSONBackCompat pins that failure specs written before the
@@ -25,7 +28,7 @@ func TestLegacyFailuresJSONBackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pre-fault failures JSON no longer decodes: %v", err)
 	}
-	want := FailureSpec{Fraction: 0.1, By: 50}
+	want := fault.FailureSpec{Fraction: 0.1, By: 50}
 	if !reflect.DeepEqual(sp.Failures, want) {
 		t.Errorf("failures decoded as %+v, want %+v", sp.Failures, want)
 	}
@@ -72,7 +75,7 @@ func TestLegacyPredictorJSONBackCompat(t *testing.T) {
 	}
 	// An explicit default-predictor section is behaviourally identical and
 	// must share the content address.
-	sp.Protocol.Predictor = &PredictorSpec{Kind: "paper"}
+	sp.Protocol.Predictor = &predict.Spec{Kind: "paper"}
 	if hp, err := Hash(sp); err != nil || hp != prePredictorHash {
 		t.Errorf("explicit paper predictor changed the hash: %s, %v", hp, err)
 	}
@@ -91,14 +94,14 @@ func TestPredictorHashEquivalence(t *testing.T) {
 
 	equal := []struct {
 		name string
-		a, b *PredictorSpec
+		a, b *predict.Spec
 	}{
-		{"absent vs explicit paper", nil, &PredictorSpec{Kind: "paper"}},
-		{"paper ignores parameters", &PredictorSpec{Kind: "paper", Mu: 1.9}, nil},
-		{"lms default mu spelled out", &PredictorSpec{Kind: "lms"}, &PredictorSpec{Kind: "lms", Mu: 0.5}},
-		{"lms ignores alpha", &PredictorSpec{Kind: "lms", Alpha: 0.9}, &PredictorSpec{Kind: "lms"}},
-		{"kalman defaults spelled out", &PredictorSpec{Kind: "kalman"},
-			&PredictorSpec{Kind: "kalman", ProcessVar: 1, MeasureVar: 4}},
+		{"absent vs explicit paper", nil, &predict.Spec{Kind: "paper"}},
+		{"paper ignores parameters", &predict.Spec{Kind: "paper", Mu: 1.9}, nil},
+		{"lms default mu spelled out", &predict.Spec{Kind: "lms"}, &predict.Spec{Kind: "lms", Mu: 0.5}},
+		{"lms ignores alpha", &predict.Spec{Kind: "lms", Alpha: 0.9}, &predict.Spec{Kind: "lms"}},
+		{"kalman defaults spelled out", &predict.Spec{Kind: "kalman"},
+			&predict.Spec{Kind: "kalman", ProcessVar: 1, MeasureVar: 4}},
 	}
 	for _, tc := range equal {
 		a, b := base, base
@@ -117,7 +120,7 @@ func TestPredictorHashEquivalence(t *testing.T) {
 		}
 	}
 
-	distinct := []*PredictorSpec{
+	distinct := []*predict.Spec{
 		{Kind: "lms"},
 		{Kind: "lms", Mu: 1.5},
 		{Kind: "ewma"},
@@ -158,48 +161,48 @@ func TestExtendedFailuresHashEquivalence(t *testing.T) {
 		a, b func(Scenario) Scenario
 	}{
 		{"churn window end 0 vs horizon", func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Churn: &ChurnSpec{Fraction: 0.2, MeanDown: 20}}
+			s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 0.2, MeanDown: 20}}
 			return s
 		}, func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Churn: &ChurnSpec{Fraction: 0.2, MeanDown: 20, By: s.Horizon}}
+			s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 0.2, MeanDown: 20, By: s.Horizon}}
 			return s
 		}},
 		{"zero-fraction churn drops", func(s Scenario) Scenario {
 			return s
 		}, func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Churn: &ChurnSpec{MeanDown: 20}}
+			s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{MeanDown: 20}}
 			return s
 		}},
 		{"zero-fraction sensor drops", func(s Scenario) Scenario {
 			return s
 		}, func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Sensor: &SensorSpec{Drift: 3}}
+			s.Failures = fault.FailureSpec{Sensor: &fault.SensorSpec{Drift: 3}}
 			return s
 		}},
 		{"zero-loss degradation drops", func(s Scenario) Scenario {
 			return s
 		}, func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Radio: &DegradationSpec{Start: 10, End: 50}}
+			s.Failures = fault.FailureSpec{Radio: &fault.DegradationSpec{Start: 10, End: 50}}
 			return s
 		}},
 		{"degradation end 0 vs horizon", func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Radio: &DegradationSpec{Loss: 0.3}}
+			s.Failures = fault.FailureSpec{Radio: &fault.DegradationSpec{Loss: 0.3}}
 			return s
 		}, func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Radio: &DegradationSpec{Loss: 0.3, End: s.Horizon}}
+			s.Failures = fault.FailureSpec{Radio: &fault.DegradationSpec{Loss: 0.3, End: s.Horizon}}
 			return s
 		}},
 		{"liveness backoff defaults materialized", func(s Scenario) Scenario {
-			s.Protocol.Liveness = &LivenessSpec{MissK: 3, Interval: 5}
+			s.Protocol.Liveness = &fault.LivenessConfig{MissK: 3, Interval: 5}
 			return s
 		}, func(s Scenario) Scenario {
-			s.Protocol.Liveness = &LivenessSpec{MissK: 3, Interval: 5, BackoffInit: 5, BackoffMax: 40, MaxProbes: 3}
+			s.Protocol.Liveness = &fault.LivenessConfig{MissK: 3, Interval: 5, BackoffInit: 5, BackoffMax: 40, MaxProbes: 3}
 			return s
 		}},
 		{"disabled liveness drops", func(s Scenario) Scenario {
 			return s
 		}, func(s Scenario) Scenario {
-			s.Protocol.Liveness = &LivenessSpec{}
+			s.Protocol.Liveness = &fault.LivenessConfig{}
 			return s
 		}},
 	}
@@ -222,31 +225,31 @@ func TestExtendedFailuresHashEquivalence(t *testing.T) {
 		mut  func(Scenario) Scenario
 	}{
 		{"churn", func(s Scenario) Scenario {
-			s.Failures.Churn = &ChurnSpec{Fraction: 0.2, MeanDown: 20}
+			s.Failures.Churn = &fault.ChurnSpec{Fraction: 0.2, MeanDown: 20}
 			return s
 		}},
 		{"crash window start", func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Fraction: 0.1, From: 10}
+			s.Failures = fault.FailureSpec{Fraction: 0.1, From: 10}
 			return s
 		}},
 		{"clustered crash", func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Fraction: 0.1, ClusterRadius: 8}
+			s.Failures = fault.FailureSpec{Fraction: 0.1, ClusterRadius: 8}
 			return s
 		}},
 		{"sensor drift", func(s Scenario) Scenario {
-			s.Failures.Sensor = &SensorSpec{Fraction: 0.3, Drift: 3}
+			s.Failures.Sensor = &fault.SensorSpec{Fraction: 0.3, Drift: 3}
 			return s
 		}},
 		{"radio degradation", func(s Scenario) Scenario {
-			s.Failures.Radio = &DegradationSpec{Loss: 0.3}
+			s.Failures.Radio = &fault.DegradationSpec{Loss: 0.3}
 			return s
 		}},
 		{"liveness enabled", func(s Scenario) Scenario {
-			s.Protocol.Liveness = &LivenessSpec{MissK: 3, Interval: 5}
+			s.Protocol.Liveness = &fault.LivenessConfig{MissK: 3, Interval: 5}
 			return s
 		}},
 		{"liveness missK", func(s Scenario) Scenario {
-			s.Protocol.Liveness = &LivenessSpec{MissK: 4, Interval: 5}
+			s.Protocol.Liveness = &fault.LivenessConfig{MissK: 4, Interval: 5}
 			return s
 		}},
 	}

@@ -28,7 +28,7 @@ func Canonical(s Scenario) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	raw, err := json.Marshal(s.normalized())
+	raw, err := json.Marshal(s.Normalized())
 	if err != nil {
 		return nil, fmt.Errorf("scenario: canonicalizing %s: %w", s.Name, err)
 	}
@@ -59,22 +59,27 @@ func Hash(s Scenario) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// normalized returns the spec with every build-time default materialized and
-// every field the selected kinds ignore reset to zero. It must preserve
-// behavior exactly: for any valid s and seed, the normalized spec compiles to
-// the identical simulation. Normalization is idempotent by construction —
-// every branch emits already-normal output.
-func (s Scenario) normalized() Scenario {
+// Normalized returns the spec with every build-time default materialized and
+// every field the selected kinds ignore reset to zero; s must be valid. It
+// preserves behaviour exactly — for any seed, the normalized spec compiles
+// to the identical simulation — and is idempotent. Each section's defaults
+// are set by one function that its build path calls too (Generate and Model
+// normalize first; the failure, liveness and predictor sections normalize
+// in the fault and predict packages), and the run path compiles this form
+// (experiment.FromScenario), so a spec runs exactly what Canonical hashes.
+func (s Scenario) Normalized() Scenario {
 	s.Deployment = s.Deployment.normalized(s.Field, s.Nodes)
 	s.Radio = s.Radio.normalized()
 	s.Stimulus = s.Stimulus.normalized()
-	s.Failures = s.Failures.normalized(s.Horizon)
+	s.Failures = s.Failures.Normalized(s.Horizon)
 	s.Protocol = s.Protocol.normalized()
 	return s
 }
 
-// normalized mirrors the defaulting in Generate: only the fields the kind
-// consumes survive, with their fallback values filled in.
+// normalized keeps only the fields the kind consumes, with their defaults
+// filled in: 5 clusters (at most n) spread over 10% of the shorter field
+// side, and a Poisson-disk spacing of 70% of the mean uniform spacing
+// sqrt(area/n).
 func (d DeploymentSpec) normalized(field geom.Rect, n int) DeploymentSpec {
 	switch d.Kind {
 	case "", DeployUniform:
@@ -105,10 +110,11 @@ func (d DeploymentSpec) normalized(field geom.Rect, n int) DeploymentSpec {
 	}
 }
 
-// normalized mirrors the defaulting in Model. Lossy with LossProb 0 is NOT
-// collapsed onto the unit disk: the lossy model still draws channel
-// randomness per delivery, so the two specs simulate differently downstream
-// of any collision/CSMA draw.
+// normalized keeps only the fields the loss model reads, with the falloff
+// model's reliable radius defaulting to 60% of the range. Lossy with
+// LossProb 0 is NOT collapsed onto the unit disk: the lossy model still
+// draws channel randomness per delivery, so the two specs simulate
+// differently downstream of any collision/CSMA draw.
 func (r RadioSpec) normalized() RadioSpec {
 	out := RadioSpec{Range: r.Range, Collisions: r.Collisions, CSMA: r.CSMA}
 	switch r.Loss {
@@ -129,8 +135,9 @@ func (r RadioSpec) normalized() RadioSpec {
 	return out
 }
 
-// normalized keeps only the fields the kind's Build branch reads, mirroring
-// the clamps RandomAnisotropicFront applies.
+// normalized keeps only the fields the kind's Build branch reads, with the
+// anisotropic irregularity and harmonic count clamped as
+// diffusion.RandomAnisotropicFront clamps them.
 func (s StimulusSpec) normalized() StimulusSpec {
 	out := StimulusSpec{Kind: s.Kind, Dwell: s.Dwell}
 	switch s.Kind {
@@ -160,102 +167,27 @@ func (s StimulusSpec) normalized() StimulusSpec {
 	return out
 }
 
-// normalized drops the deadline when nothing fails and materializes the
-// "0 = horizon" deadline default otherwise (mirroring experiment.Build).
-// The legacy branch (no extended fields) is byte-identical to its pre-fault
-// behaviour, so old specs keep old hashes; the extended branch materializes
-// each sub-spec's window defaults the same way fault.Compile consumes them.
-func (f FailureSpec) normalized(horizon float64) FailureSpec {
-	if !f.Extended() {
-		if f.Fraction == 0 {
-			return FailureSpec{}
-		}
-		if f.By == 0 {
-			f.By = horizon
-		}
-		return f
-	}
-	if f.Fraction > 0 && f.By == 0 {
-		f.By = horizon
-	}
-	if f.Fraction == 0 {
-		f.By, f.From, f.ClusterRadius = 0, 0, 0
-	}
-	if f.Churn != nil {
-		c := *f.Churn
-		if c.Fraction == 0 {
-			f.Churn = nil
-		} else {
-			if c.By == 0 {
-				c.By = horizon
-			}
-			f.Churn = &c
-		}
-	}
-	if f.Sensor != nil {
-		s := *f.Sensor
-		if s.Fraction == 0 {
-			f.Sensor = nil
-		} else {
-			f.Sensor = &s
-		}
-	}
-	if f.Radio != nil {
-		d := *f.Radio
-		if d.Loss == 0 {
-			f.Radio = nil
-		} else {
-			if d.End == 0 {
-				d.End = horizon
-			}
-			f.Radio = &d
-		}
-	}
-	return f
-}
-
-// Extended reports whether any post-crash-stop fault field is in use; such
-// specs compile through internal/fault instead of the legacy kill loop.
-func (f FailureSpec) Extended() bool {
-	return f.Churn != nil || f.Sensor != nil || f.Radio != nil ||
-		f.From > 0 || f.ClusterRadius > 0
-}
-
-// normalized materializes the conventional MaxSleep/5 ramp the experiment
-// harness fills in when a spec pins the cap but not the increment, and the
-// liveness backoff defaults (mirroring fault.LivenessConfig.WithDefaults), so
-// a spec that spells out the defaults hashes equal to one that omits them. A
-// disabled liveness section (missK or interval unset) drops entirely, and the
-// predictor section follows predict.Spec.Canonical — with a paper-kind spec
-// dropping to nil so pre-predictor content addresses are preserved.
+// normalized fills in the MaxSleep/5 sleep ramp when a spec pins the cap but
+// not the increment, drops a disabled liveness section and materializes an
+// enabled one's defaults (fault.LivenessConfig.WithDefaults), and puts the
+// predictor section in predict.Spec.Canonical form — dropping a paper-kind
+// section so pre-predictor content addresses are preserved — so a spec that
+// spells out the defaults hashes equal to one that omits them.
 func (p ProtocolSpec) normalized() ProtocolSpec {
 	if p.MaxSleep > 0 && p.SleepIncrement == 0 {
 		p.SleepIncrement = p.MaxSleep / 5
 	}
 	if l := p.Liveness; l != nil {
-		if l.MissK <= 0 || l.Interval <= 0 {
-			p.Liveness = nil
-		} else {
-			v := *l
-			if v.BackoffInit == 0 {
-				v.BackoffInit = v.Interval
-			}
-			if v.BackoffMax == 0 {
-				v.BackoffMax = 8 * v.Interval
-			}
-			if v.MaxProbes == 0 {
-				v.MaxProbes = 3
-			}
+		p.Liveness = nil
+		if l.Enabled() {
+			v := l.WithDefaults()
 			p.Liveness = &v
 		}
 	}
 	if pr := p.Predictor; pr != nil {
-		c := pr.Spec().Canonical()
-		if c.Kind == predict.KindPaper {
-			p.Predictor = nil
-		} else {
-			v := predictorSpecOf(c)
-			p.Predictor = &v
+		p.Predictor = nil
+		if c := pr.Canonical(); c.Kind != predict.KindPaper {
+			p.Predictor = &c
 		}
 	}
 	return p

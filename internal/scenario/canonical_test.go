@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/geom"
 )
 
@@ -133,16 +134,16 @@ func TestHashEquivalentSpecs(t *testing.T) {
 			return s
 		}},
 		{"failure deadline 0 vs horizon", func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Fraction: 0.1}
+			s.Failures = fault.FailureSpec{Fraction: 0.1}
 			return s
 		}, func(s Scenario) Scenario {
-			s.Failures = FailureSpec{Fraction: 0.1, By: s.Horizon}
+			s.Failures = fault.FailureSpec{Fraction: 0.1, By: s.Horizon}
 			return s
 		}},
 		{"no failures ignore deadline", func(s Scenario) Scenario {
 			return s
 		}, func(s Scenario) Scenario {
-			s.Failures = FailureSpec{By: 50}
+			s.Failures = fault.FailureSpec{By: 50}
 			return s
 		}},
 		{"clustered defaults materialized", func(s Scenario) Scenario {

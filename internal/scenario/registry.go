@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/diffusion"
+	"repro/internal/fault"
 	"repro/internal/geom"
 )
 
@@ -209,7 +210,7 @@ func entries() []Scenario {
 			Field:       paperField, Nodes: 40, Horizon: 140,
 			Radio:    RadioSpec{Range: 12, Loss: LossFalloff, Reliable: 8, Collisions: true, CSMA: true},
 			Stimulus: StimulusSpec{Kind: StimRadial, Origin: geom.V(0, 20), Speed: 0.5, Start: 10},
-			Failures: FailureSpec{Fraction: 0.1},
+			Failures: fault.FailureSpec{Fraction: 0.1},
 		},
 		{
 			Name:        "churn",
@@ -217,8 +218,8 @@ func entries() []Scenario {
 			Field:       paperField, Nodes: 30, Horizon: 140,
 			Radio:    RadioSpec{Range: 10},
 			Stimulus: StimulusSpec{Kind: StimRadial, Origin: geom.V(0, 20), Speed: 0.5, Start: 10},
-			Failures: FailureSpec{Churn: &ChurnSpec{Fraction: 0.2, MeanDown: 20}},
-			Protocol: ProtocolSpec{Liveness: &LivenessSpec{MissK: 3, Interval: 5}},
+			Failures: fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 0.2, MeanDown: 20}},
+			Protocol: ProtocolSpec{Liveness: &fault.LivenessConfig{MissK: 3, Interval: 5}},
 		},
 		{
 			Name:        "drift",
@@ -226,7 +227,7 @@ func entries() []Scenario {
 			Field:       paperField, Nodes: 30, Horizon: 140,
 			Radio:    RadioSpec{Range: 10},
 			Stimulus: StimulusSpec{Kind: StimRadial, Origin: geom.V(0, 20), Speed: 0.5, Start: 10},
-			Failures: FailureSpec{Sensor: &SensorSpec{Fraction: 0.3, Drift: 3, Stuck: 0.2, BurstRate: 2, BurstLen: 2}},
+			Failures: fault.FailureSpec{Sensor: &fault.SensorSpec{Fraction: 0.3, Drift: 3, Stuck: 0.2, BurstRate: 2, BurstLen: 2}},
 		},
 		Scale(100),
 		Scale(1000),

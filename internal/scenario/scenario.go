@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/deploy"
 	"repro/internal/diffusion"
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/predict"
 	"repro/internal/radio"
@@ -71,7 +72,7 @@ type Scenario struct {
 	Stimulus StimulusSpec `json:"stimulus"`
 	// Failures optionally injects faults: crash-stop kills, churn, sensor
 	// miscalibration and radio degradation windows.
-	Failures FailureSpec `json:"failures,omitzero"`
+	Failures fault.FailureSpec `json:"failures,omitzero"`
 	// Protocol optionally overrides protocol tunables.
 	Protocol ProtocolSpec `json:"protocol,omitzero"`
 }
@@ -97,7 +98,7 @@ func (s Scenario) Validate() error {
 	if err := s.Stimulus.validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
-	if err := s.Failures.validate(); err != nil {
+	if err := s.Failures.Validate(); err != nil {
 		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	if err := s.Protocol.validate(); err != nil {
@@ -158,14 +159,15 @@ func (d DeploymentSpec) validate() error {
 	return nil
 }
 
-// Generate draws the deployment for the spec. The uniform kind rejects
-// disconnected layouts exactly as the paper harness always has (and panics
-// when maxAttempts draws cannot connect); the structured kinds are connected
-// by construction (grid) or intentionally clumpy (clustered, poisson) and are
-// used as-is.
+// Generate draws the deployment for the spec, with its defaults
+// materialized first. The uniform kind rejects disconnected layouts exactly
+// as the paper harness always has (and panics when maxAttempts draws cannot
+// connect); the structured kinds are connected by construction (grid) or
+// intentionally clumpy (clustered, poisson) and are used as-is.
 func (d DeploymentSpec) Generate(st *rng.Stream, field geom.Rect, n int, radius float64, maxAttempts int) *deploy.Deployment {
+	d = d.normalized(field, n)
 	switch d.Kind {
-	case "", DeployUniform:
+	case DeployUniform:
 		return deploy.ConnectedUniform(st, field, n, radius, maxAttempts)
 	case DeployGrid:
 		// Lattice dimensions follow the field aspect ratio so cells stay
@@ -181,33 +183,18 @@ func (d DeploymentSpec) Generate(st *rng.Stream, field geom.Rect, n int, radius 
 		dep.Positions = dep.Positions[:n]
 		return dep
 	case DeployClustered:
-		clusters := d.Clusters
-		if clusters <= 0 {
-			clusters = 5
-		}
-		if clusters > n {
-			clusters = n
-		}
-		spread := d.Spread
-		if spread <= 0 {
-			spread = 0.1 * math.Min(field.Width(), field.Height())
-		}
-		per := (n + clusters - 1) / clusters
-		dep := deploy.Clustered(st, field, clusters, per, spread)
+		per := (n + d.Clusters - 1) / d.Clusters
+		dep := deploy.Clustered(st, field, d.Clusters, per, d.Spread)
 		dep.Positions = dep.Positions[:n]
 		return dep
 	case DeployPoisson:
-		minDist := d.MinDist
-		if minDist <= 0 {
-			minDist = 0.7 * math.Sqrt(field.Area()/float64(n))
-		}
-		dep := deploy.PoissonDisk(st, field, n, minDist)
+		dep := deploy.PoissonDisk(st, field, n, d.MinDist)
 		if dep.N() < n {
 			// The scenario declares n nodes; silently simulating a thinner
 			// network would misreport every per-node metric. Saturation is a
 			// spec bug, handled like ConnectedUniform infeasibility.
 			panic(fmt.Sprintf("scenario: poisson deployment saturated at %d of %d nodes (minDist %g over %v); enlarge the field or shrink minDist",
-				dep.N(), n, minDist, field))
+				dep.N(), n, d.MinDist, field))
 		}
 		return dep
 	default:
@@ -250,162 +237,20 @@ func (r RadioSpec) validate() error {
 	}
 }
 
-// Model builds the channel loss model of the spec.
+// Model builds the channel loss model of the spec, with its defaults
+// materialized first.
 func (r RadioSpec) Model() (radio.LossModel, error) {
 	if err := r.validate(); err != nil {
 		return nil, err
 	}
-	switch r.Loss {
-	case "", LossUnit:
+	switch r = r.normalized(); r.Loss {
+	case LossUnit:
 		return radio.UnitDisk{Range: r.Range}, nil
 	case LossLossy:
 		return radio.LossyDisk{Range: r.Range, LossProb: r.LossProb}, nil
 	default: // LossFalloff
-		reliable := r.Reliable
-		if reliable <= 0 {
-			reliable = 0.6 * r.Range
-		}
-		return radio.DistanceFalloff{Reliable: reliable, Max: r.Range}, nil
+		return radio.DistanceFalloff{Reliable: r.Reliable, Max: r.Range}, nil
 	}
-}
-
-// FailureSpec describes fault injection. The original (and still default)
-// shape kills Fraction of the nodes at uniform random times in [0, By]
-// (By 0 = the horizon); the extended fields layer churn, sensor
-// miscalibration and radio degradation on top. A spec using only Fraction/By
-// compiles through the exact legacy code path, so pre-existing scenarios
-// keep their hashes and their traces.
-type FailureSpec struct {
-	// Fraction of the nodes to crash-stop at uniform random times.
-	Fraction float64 `json:"fraction,omitempty"`
-	// By is the crash-window end (0 = the horizon).
-	By float64 `json:"by,omitempty"`
-	// From is the crash-window start (0 = time zero). Setting it engages
-	// the extended fault path.
-	From float64 `json:"from,omitempty"`
-	// ClusterRadius switches the crash victim draw from uniform-random to
-	// spatially clustered: victims are the Fraction×n nodes nearest a
-	// randomly chosen epicentre, restricted to this radius in metres.
-	ClusterRadius float64 `json:"clusterRadius,omitempty"`
-	// Churn adds crash-recovery churn (nodes go dark, then rejoin).
-	Churn *ChurnSpec `json:"churn,omitempty"`
-	// Sensor adds sensor miscalibration transforms.
-	Sensor *SensorSpec `json:"sensor,omitempty"`
-	// Radio adds a time-bounded radio degradation window.
-	Radio *DegradationSpec `json:"radio,omitempty"`
-}
-
-// ChurnSpec describes crash-recovery churn: Fraction of the nodes each pick
-// an outage start uniform in [Start, By] (By 0 = the horizon) and stay dark
-// for MinDown plus an exponential draw with mean MeanDown seconds, then
-// rejoin. Rejoining reuses the frozen topology — positions never change.
-type ChurnSpec struct {
-	Fraction float64 `json:"fraction,omitempty"`
-	MeanDown float64 `json:"meanDown,omitempty"`
-	MinDown  float64 `json:"minDown,omitempty"`
-	Start    float64 `json:"start,omitempty"`
-	By       float64 `json:"by,omitempty"`
-}
-
-func (c *ChurnSpec) validate() error {
-	switch {
-	case c.Fraction < 0 || c.Fraction > 1:
-		return fmt.Errorf("churn fraction %g outside [0, 1]", c.Fraction)
-	case c.MeanDown < 0:
-		return fmt.Errorf("negative churn mean downtime %g", c.MeanDown)
-	case c.MinDown < 0:
-		return fmt.Errorf("negative churn min downtime %g", c.MinDown)
-	case c.Start < 0:
-		return fmt.Errorf("negative churn window start %g", c.Start)
-	case c.By < 0:
-		return fmt.Errorf("negative churn window end %g", c.By)
-	case c.By > 0 && c.By < c.Start:
-		return fmt.Errorf("churn window end %g before start %g", c.By, c.Start)
-	}
-	return nil
-}
-
-// SensorSpec describes miscalibration applied between stimulus and reading
-// on Fraction of the nodes: Drift perceives the front Drift seconds late;
-// Stuck is the probability a faulted node latches its reading forever at a
-// uniform-random onset; BurstRate bursts per horizon (mean) of spurious
-// always-detecting noise lasting Exponential(BurstLen) seconds each.
-type SensorSpec struct {
-	Fraction  float64 `json:"fraction,omitempty"`
-	Drift     float64 `json:"drift,omitempty"`
-	Stuck     float64 `json:"stuck,omitempty"`
-	BurstRate float64 `json:"burstRate,omitempty"`
-	BurstLen  float64 `json:"burstLen,omitempty"`
-}
-
-func (s *SensorSpec) validate() error {
-	switch {
-	case s.Fraction < 0 || s.Fraction > 1:
-		return fmt.Errorf("sensor fault fraction %g outside [0, 1]", s.Fraction)
-	case s.Drift < 0:
-		return fmt.Errorf("negative sensor drift %g", s.Drift)
-	case s.Stuck < 0 || s.Stuck > 1:
-		return fmt.Errorf("sensor stuck probability %g outside [0, 1]", s.Stuck)
-	case s.BurstRate < 0:
-		return fmt.Errorf("negative sensor burst rate %g", s.BurstRate)
-	case s.BurstLen < 0:
-		return fmt.Errorf("negative sensor burst length %g", s.BurstLen)
-	}
-	return nil
-}
-
-// DegradationSpec layers an extra independent per-delivery drop probability
-// Loss on the channel during [Start, End] (End 0 = the horizon), modelling a
-// time-bounded radio degradation window (weather, interference).
-type DegradationSpec struct {
-	Start float64 `json:"start,omitempty"`
-	End   float64 `json:"end,omitempty"`
-	Loss  float64 `json:"loss,omitempty"`
-}
-
-func (d *DegradationSpec) validate() error {
-	switch {
-	case d.Loss < 0 || d.Loss >= 1:
-		return fmt.Errorf("degradation loss %g outside [0, 1)", d.Loss)
-	case d.Start < 0:
-		return fmt.Errorf("negative degradation window start %g", d.Start)
-	case d.End < 0:
-		return fmt.Errorf("negative degradation window end %g", d.End)
-	case d.End > 0 && d.End < d.Start:
-		return fmt.Errorf("degradation window end %g before start %g", d.End, d.Start)
-	}
-	return nil
-}
-
-func (f FailureSpec) validate() error {
-	switch {
-	case f.Fraction < 0 || f.Fraction > 1:
-		return fmt.Errorf("failure fraction %g outside [0, 1]", f.Fraction)
-	case f.By < 0:
-		return fmt.Errorf("negative failure deadline %g", f.By)
-	case f.From < 0:
-		return fmt.Errorf("negative failure window start %g", f.From)
-	case f.By > 0 && f.By < f.From:
-		return fmt.Errorf("failure window end %g before start %g", f.By, f.From)
-	case f.ClusterRadius < 0:
-		return fmt.Errorf("negative failure cluster radius %g", f.ClusterRadius)
-	}
-	if f.Churn != nil {
-		if err := f.Churn.validate(); err != nil {
-			return err
-		}
-	}
-	if f.Sensor != nil {
-		if err := f.Sensor.validate(); err != nil {
-			return err
-		}
-	}
-	if f.Radio != nil {
-		if err := f.Radio.validate(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ProtocolSpec optionally pins the protocol and its headline tunables; zero
@@ -423,78 +268,13 @@ type ProtocolSpec struct {
 	AlertThreshold float64 `json:"alertThreshold,omitempty"`
 	// Liveness enables the sink-side liveness tracker (suspect after
 	// MissK silent intervals, backoff re-probes, then declare dead).
-	Liveness *LivenessSpec `json:"liveness,omitempty"`
+	Liveness *fault.LivenessConfig `json:"liveness,omitempty"`
 	// Predictor selects the arrival-prediction model the PAS agent runs
 	// (nil or kind "paper" = the §3.3 estimator, byte-identical to every
-	// pre-predictor release).
-	Predictor *PredictorSpec `json:"predictor,omitempty"`
-}
-
-// PredictorSpec selects and tunes the PAS arrival predictor; it mirrors
-// predict.Spec field for field (see internal/predict for kinds, parameter
-// meanings and defaults). Zero parameters take the kind's defaults. The
-// scenario layer additionally requires a finite tolerance: the canonical
-// encoding is JSON, which cannot carry +Inf (the +Inf "never report" setting
-// remains available programmatically through core.Config).
-type PredictorSpec struct {
-	Kind       string  `json:"kind,omitempty"`
-	Mu         float64 `json:"mu,omitempty"`
-	Alpha      float64 `json:"alpha,omitempty"`
-	Order      int     `json:"order,omitempty"`
-	ProcessVar float64 `json:"processVar,omitempty"`
-	MeasureVar float64 `json:"measureVar,omitempty"`
-	Tolerance  float64 `json:"tolerance,omitempty"`
-}
-
-// Spec converts to the predict-layer spec the run path consumes.
-func (p PredictorSpec) Spec() predict.Spec {
-	return predict.Spec{
-		Kind: p.Kind, Mu: p.Mu, Alpha: p.Alpha, Order: p.Order,
-		ProcessVar: p.ProcessVar, MeasureVar: p.MeasureVar, Tolerance: p.Tolerance,
-	}
-}
-
-func predictorSpecOf(s predict.Spec) PredictorSpec {
-	return PredictorSpec{
-		Kind: s.Kind, Mu: s.Mu, Alpha: s.Alpha, Order: s.Order,
-		ProcessVar: s.ProcessVar, MeasureVar: s.MeasureVar, Tolerance: s.Tolerance,
-	}
-}
-
-func (p *PredictorSpec) validate() error {
-	if math.IsInf(p.Tolerance, 1) {
-		return fmt.Errorf("predictor tolerance +Inf is not JSON-encodable; set it through core.Config instead")
-	}
-	return p.Spec().Validate()
-}
-
-// LivenessSpec tunes the sink-side peer liveness tracker of the PAS/SAS
-// agents: a peer silent for MissK×Interval seconds is marked suspect and
-// re-probed with capped exponential backoff (BackoffInit doubling up to
-// BackoffMax, defaults Interval and 8×Interval) until MaxProbes probes
-// (default 3) have gone unanswered, at which point it is declared dead.
-type LivenessSpec struct {
-	MissK       int     `json:"missK,omitempty"`
-	Interval    float64 `json:"interval,omitempty"`
-	BackoffInit float64 `json:"backoffInit,omitempty"`
-	BackoffMax  float64 `json:"backoffMax,omitempty"`
-	MaxProbes   int     `json:"maxProbes,omitempty"`
-}
-
-func (l *LivenessSpec) validate() error {
-	switch {
-	case l.MissK < 0:
-		return fmt.Errorf("negative liveness missK %d", l.MissK)
-	case l.MissK > 0 && l.Interval <= 0:
-		return fmt.Errorf("liveness interval %g must be positive when missK is set", l.Interval)
-	case l.Interval < 0 || l.BackoffInit < 0 || l.BackoffMax < 0:
-		return fmt.Errorf("negative liveness tunable in %+v", *l)
-	case l.MaxProbes < 0:
-		return fmt.Errorf("negative liveness maxProbes %d", l.MaxProbes)
-	case l.BackoffMax > 0 && l.BackoffInit > l.BackoffMax:
-		return fmt.Errorf("liveness backoffInit %g above backoffMax %g", l.BackoffInit, l.BackoffMax)
-	}
-	return nil
+	// pre-predictor release). Its tolerance must be finite: the canonical
+	// encoding is JSON, which cannot carry +Inf (the +Inf "never report"
+	// setting remains available programmatically through core.Config).
+	Predictor *predict.Spec `json:"predictor,omitempty"`
 }
 
 func (p ProtocolSpec) validate() error {
@@ -507,14 +287,15 @@ func (p ProtocolSpec) validate() error {
 		return fmt.Errorf("negative protocol tunable in %+v", p)
 	}
 	if p.Liveness != nil {
-		if err := p.Liveness.validate(); err != nil {
+		if err := p.Liveness.Validate(); err != nil {
 			return err
 		}
 	}
 	if p.Predictor != nil {
-		if err := p.Predictor.validate(); err != nil {
-			return err
+		if math.IsInf(p.Predictor.Tolerance, 1) {
+			return fmt.Errorf("predictor tolerance +Inf is not JSON-encodable; set it through core.Config instead")
 		}
+		return p.Predictor.Validate()
 	}
 	return nil
 }

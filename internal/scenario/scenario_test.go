@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/diffusion"
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/rng"
 )
@@ -249,59 +250,59 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		"negative spread":     func(s *Scenario) { s.Deployment = DeploymentSpec{Kind: DeployClustered, Spread: -1} },
 		"negative minDist":    func(s *Scenario) { s.Deployment = DeploymentSpec{Kind: DeployPoisson, MinDist: -2} },
 		"bad reliable":        func(s *Scenario) { s.Radio = RadioSpec{Range: 10, Loss: LossFalloff, Reliable: 11} },
-		"negative fail by":    func(s *Scenario) { s.Failures = FailureSpec{Fraction: 0.1, By: -5} },
-		"negative fail from":  func(s *Scenario) { s.Failures = FailureSpec{Fraction: 0.1, From: -1} },
-		"fail by before from": func(s *Scenario) { s.Failures = FailureSpec{Fraction: 0.1, From: 9, By: 4} },
+		"negative fail by":    func(s *Scenario) { s.Failures = fault.FailureSpec{Fraction: 0.1, By: -5} },
+		"negative fail from":  func(s *Scenario) { s.Failures = fault.FailureSpec{Fraction: 0.1, From: -1} },
+		"fail by before from": func(s *Scenario) { s.Failures = fault.FailureSpec{Fraction: 0.1, From: 9, By: 4} },
 		"negative cluster radius": func(s *Scenario) {
-			s.Failures = FailureSpec{Fraction: 0.1, ClusterRadius: -2}
+			s.Failures = fault.FailureSpec{Fraction: 0.1, ClusterRadius: -2}
 		},
-		"churn fraction > 1": func(s *Scenario) { s.Failures = FailureSpec{Churn: &ChurnSpec{Fraction: 1.5}} },
+		"churn fraction > 1": func(s *Scenario) { s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 1.5}} },
 		"churn negative mean": func(s *Scenario) {
-			s.Failures = FailureSpec{Churn: &ChurnSpec{Fraction: 0.1, MeanDown: -3}}
+			s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 0.1, MeanDown: -3}}
 		},
 		"churn negative min": func(s *Scenario) {
-			s.Failures = FailureSpec{Churn: &ChurnSpec{Fraction: 0.1, MinDown: -1}}
+			s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 0.1, MinDown: -1}}
 		},
 		"churn negative start": func(s *Scenario) {
-			s.Failures = FailureSpec{Churn: &ChurnSpec{Fraction: 0.1, Start: -1}}
+			s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 0.1, Start: -1}}
 		},
 		"churn negative by": func(s *Scenario) {
-			s.Failures = FailureSpec{Churn: &ChurnSpec{Fraction: 0.1, By: -1}}
+			s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 0.1, By: -1}}
 		},
 		"churn by before start": func(s *Scenario) {
-			s.Failures = FailureSpec{Churn: &ChurnSpec{Fraction: 0.1, Start: 8, By: 3}}
+			s.Failures = fault.FailureSpec{Churn: &fault.ChurnSpec{Fraction: 0.1, Start: 8, By: 3}}
 		},
-		"sensor fraction > 1": func(s *Scenario) { s.Failures = FailureSpec{Sensor: &SensorSpec{Fraction: 2}} },
+		"sensor fraction > 1": func(s *Scenario) { s.Failures = fault.FailureSpec{Sensor: &fault.SensorSpec{Fraction: 2}} },
 		"sensor negative drift": func(s *Scenario) {
-			s.Failures = FailureSpec{Sensor: &SensorSpec{Fraction: 0.1, Drift: -1}}
+			s.Failures = fault.FailureSpec{Sensor: &fault.SensorSpec{Fraction: 0.1, Drift: -1}}
 		},
 		"sensor stuck > 1": func(s *Scenario) {
-			s.Failures = FailureSpec{Sensor: &SensorSpec{Fraction: 0.1, Stuck: 1.1}}
+			s.Failures = fault.FailureSpec{Sensor: &fault.SensorSpec{Fraction: 0.1, Stuck: 1.1}}
 		},
 		"sensor negative burst rate": func(s *Scenario) {
-			s.Failures = FailureSpec{Sensor: &SensorSpec{Fraction: 0.1, BurstRate: -1}}
+			s.Failures = fault.FailureSpec{Sensor: &fault.SensorSpec{Fraction: 0.1, BurstRate: -1}}
 		},
 		"sensor negative burst len": func(s *Scenario) {
-			s.Failures = FailureSpec{Sensor: &SensorSpec{Fraction: 0.1, BurstLen: -1}}
+			s.Failures = fault.FailureSpec{Sensor: &fault.SensorSpec{Fraction: 0.1, BurstLen: -1}}
 		},
-		"radio loss = 1":       func(s *Scenario) { s.Failures = FailureSpec{Radio: &DegradationSpec{Loss: 1}} },
-		"radio negative start": func(s *Scenario) { s.Failures = FailureSpec{Radio: &DegradationSpec{Loss: 0.5, Start: -1}} },
-		"radio negative end":   func(s *Scenario) { s.Failures = FailureSpec{Radio: &DegradationSpec{Loss: 0.5, End: -1}} },
+		"radio loss = 1":       func(s *Scenario) { s.Failures = fault.FailureSpec{Radio: &fault.DegradationSpec{Loss: 1}} },
+		"radio negative start": func(s *Scenario) { s.Failures = fault.FailureSpec{Radio: &fault.DegradationSpec{Loss: 0.5, Start: -1}} },
+		"radio negative end":   func(s *Scenario) { s.Failures = fault.FailureSpec{Radio: &fault.DegradationSpec{Loss: 0.5, End: -1}} },
 		"radio end before start": func(s *Scenario) {
-			s.Failures = FailureSpec{Radio: &DegradationSpec{Loss: 0.5, Start: 7, End: 2}}
+			s.Failures = fault.FailureSpec{Radio: &fault.DegradationSpec{Loss: 0.5, Start: 7, End: 2}}
 		},
-		"liveness negative missK": func(s *Scenario) { s.Protocol.Liveness = &LivenessSpec{MissK: -1} },
+		"liveness negative missK": func(s *Scenario) { s.Protocol.Liveness = &fault.LivenessConfig{MissK: -1} },
 		"liveness missK sans interval": func(s *Scenario) {
-			s.Protocol.Liveness = &LivenessSpec{MissK: 3}
+			s.Protocol.Liveness = &fault.LivenessConfig{MissK: 3}
 		},
 		"liveness negative backoff": func(s *Scenario) {
-			s.Protocol.Liveness = &LivenessSpec{MissK: 3, Interval: 5, BackoffInit: -1}
+			s.Protocol.Liveness = &fault.LivenessConfig{MissK: 3, Interval: 5, BackoffInit: -1}
 		},
 		"liveness negative probes": func(s *Scenario) {
-			s.Protocol.Liveness = &LivenessSpec{MissK: 3, Interval: 5, MaxProbes: -2}
+			s.Protocol.Liveness = &fault.LivenessConfig{MissK: 3, Interval: 5, MaxProbes: -2}
 		},
 		"liveness backoff inverted": func(s *Scenario) {
-			s.Protocol.Liveness = &LivenessSpec{MissK: 3, Interval: 5, BackoffInit: 9, BackoffMax: 4}
+			s.Protocol.Liveness = &fault.LivenessConfig{MissK: 3, Interval: 5, BackoffInit: 9, BackoffMax: 4}
 		},
 		"negative max sleep":  func(s *Scenario) { s.Protocol = ProtocolSpec{MaxSleep: -1} },
 		"negative dwell":      func(s *Scenario) { s.Stimulus.Dwell = -1 },

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 // postHandler posts straight at a handler (no test server), for servers that
@@ -345,5 +347,33 @@ func TestShardsHintSharesKey(t *testing.T) {
 	}
 	if !bytes.Equal(missOf(`{"name":"harsh","seed":21,"shards":1}`), missOf(`{"name":"harsh","seed":21}`)) {
 		t.Fatal("one-shard harsh body differs from serial")
+	}
+
+	// A spec and its canonical spelling share a key, so they must share the
+	// shards verdict too: a crash window with nothing to crash normalizes
+	// away, and the spec runs on two kernels like its canonical form.
+	spec := `{"name":"from5","field":{"Min":{"X":0,"Y":0},"Max":{"X":40,"Y":40}},"nodes":30,` +
+		`"horizon":140,"radio":{"range":10},` +
+		`"stimulus":{"kind":"radial","origin":{"X":0,"Y":20},"speed":0.5,"start":10}`
+	sp, err := scenario.Decode([]byte(spec + `,"failures":{"from":5}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := scenario.Canonical(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts = testServer(t, Config{})
+	respA, bodyA := post(t, ts.URL, "/v1/runs", `{"scenario":`+spec+`,"failures":{"from":5}},"seed":4,"shards":2}`)
+	respB, bodyB := post(t, ts.URL, "/v1/runs", `{"scenario":`+string(canon)+`,"seed":4,"shards":2}`)
+	if respA.StatusCode != respB.StatusCode || respA.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (%s) for the spec, %d (%s) for its canonical form; want 200 for both",
+			respA.StatusCode, bodyA, respB.StatusCode, bodyB)
+	}
+	if ka, kb := respA.Header.Get("X-Result-Key"), respB.Header.Get("X-Result-Key"); ka != kb || ka == "" {
+		t.Fatalf("X-Result-Key %q for the spec, %q for its canonical form", ka, kb)
+	}
+	if !bytes.Equal(bodyA, bodyB) {
+		t.Fatal("spec and canonical form served different bodies")
 	}
 }

@@ -140,15 +140,18 @@
 // frozen at a random onset, burst noise forcing spurious detections) and
 // radio degradation windows (DegradationSpec — a time-bounded extra drop
 // probability layered over the channel model without disturbing its own
-// draws). CompileFaults materializes a spec into a FaultPlan
-// (RunConfig.Faults); every draw comes from named rng streams ("failures"
+// draws). FailureSpec.Normalized materializes its window defaults and drops
+// disabled models; it is the one definition both the scenario canonical form
+// and CompileFaults (which turns a spec into the FaultPlan of
+// RunConfig.Faults) use. Every draw comes from named rng streams ("failures"
 // for the legacy uniform kill — byte-compatible with the pre-fault harness —
 // plus fault/crash, fault/churn, fault/sensor and fault/degrade), so faulted
 // runs stay byte-identical serial vs parallel. A spec using only
 // Fraction/By takes the exact legacy code path and preserves old goldens.
 //
 // The PAS/SAS agents embed an optional sink-side liveness tracker
-// (Config.Liveness, a LivenessConfig): a peer silent for MissK report
+// (Config.Liveness, a LivenessConfig, which is also the type of a scenario's
+// protocol.liveness section): a peer silent for MissK report
 // intervals turns suspect and is re-probed with capped exponential backoff
 // (BackoffInit doubling up to BackoffMax) until MaxProbes probes go
 // unanswered, then it is declared dead; a later message resurrects it.
@@ -185,11 +188,11 @@
 //
 // Every predictor is zero-alloc on the step path (fixed-size ring buffers,
 // state embedded in the agent slab; the predict alloc tests pin 0
-// allocs/op). Selection is scenario-addressable — ProtocolSpec gains a
-// PredictorSpec section (PASConfig.Predictor programmatically; -predictor on
-// passim/pasbench) — and canonicalization-aware: a spec without a predictor
-// section, or with an explicit default one, keeps its pre-predictor content
-// hash. Metrics gains the prediction-quality measures (arrival RMSE over
+// allocs/op). Selection is scenario-addressable — ProtocolSpec's predictor
+// section is a PredictorConfig, the type PASConfig.Predictor takes too
+// (-predictor on passim/pasbench) — and canonicalization-aware: a spec
+// without a predictor section, or with an explicit default one, keeps its
+// pre-predictor content hash. Metrics gains the prediction-quality measures (arrival RMSE over
 // detecting nodes, report suppressions, max staleness) and ext-predictors
 // sweeps the portfolio inside PAS against the NS/SAS brackets on both the
 // analytic radial front and the PDE plume.
@@ -487,32 +490,28 @@ type (
 	// FailureSpec declares fault injection: the legacy uniform crash-stop
 	// kill (Fraction/By), time-windowed and spatially-clustered kills
 	// (From/ClusterRadius), and the extended models below.
-	FailureSpec = scenario.FailureSpec
+	FailureSpec = fault.FailureSpec
 	// ChurnSpec takes nodes dark for a while and rejoins them in place
 	// (crash-recovery churn).
-	ChurnSpec = scenario.ChurnSpec
+	ChurnSpec = fault.ChurnSpec
 	// SensorSpec miscalibrates sensors: additive detection drift, stuck-at
 	// readings and burst noise.
-	SensorSpec = scenario.SensorSpec
+	SensorSpec = fault.SensorSpec
 	// DegradationSpec layers a time-bounded extra loss probability on the
 	// radio channel.
-	DegradationSpec = scenario.DegradationSpec
-	// LivenessSpec enables the sink-side peer liveness tracker in a
-	// scenario's protocol section.
-	LivenessSpec = scenario.LivenessSpec
-	// ProtocolSpec optionally pins the protocol and its headline tunables.
+	DegradationSpec = fault.DegradationSpec
+	// ProtocolSpec optionally pins the protocol and its headline tunables;
+	// its liveness section is a LivenessConfig and its predictor section a
+	// PredictorConfig.
 	ProtocolSpec = scenario.ProtocolSpec
-	// PredictorSpec selects the PAS arrival predictor in a scenario's
-	// protocol section (kind + filter tunables; see the Prediction doc
-	// section).
-	PredictorSpec = scenario.PredictorSpec
 )
 
 // Arrival prediction (internal/predict).
 type (
 	// PredictorConfig selects and tunes the PAS arrival predictor
-	// programmatically (PASConfig.Predictor); the zero value is the paper
-	// estimator. Kinds: "paper", "lms", "ewma", "ar", "kalman", "switching".
+	// (PASConfig.Predictor, or a scenario's protocol.predictor section); the
+	// zero value is the paper estimator. Kinds: "paper", "lms", "ewma",
+	// "ar", "kalman", "switching".
 	PredictorConfig = predict.Spec
 	// PredictionStats snapshots a predictor's per-run quality counters
 	// (squared arrival error, report suppressions, staleness).
@@ -533,16 +532,17 @@ type (
 	// replicated runs, applied to a built network with per-run randomness.
 	FaultPlan = fault.Plan
 	// LivenessConfig tunes the sink-side peer liveness tracker embedded in
-	// the PAS/SAS configs (Config.Liveness); the zero value disables it.
+	// the PAS/SAS configs (Config.Liveness, or a scenario's
+	// protocol.liveness section); the zero value disables it.
 	LivenessConfig = fault.LivenessConfig
 	// LivenessStats snapshots a tracker: probe count, probe energy and the
 	// death declarations.
 	LivenessStats = fault.LivenessStats
 )
 
-// CompileFaults materializes a FailureSpec into a FaultPlan against the
-// given horizon; assign it to RunConfig.Faults. The experiment harness does
-// this automatically for scenario specs with extended fault models.
+// CompileFaults normalizes a FailureSpec into a FaultPlan against the
+// given horizon; assign it to RunConfig.Faults. RunConfigFromScenario does
+// this for scenario specs with extended fault models.
 func CompileFaults(f FailureSpec, horizon float64) *FaultPlan {
 	return fault.Compile(f, horizon)
 }
