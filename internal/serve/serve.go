@@ -397,12 +397,14 @@ func (s *Server) resolveSpec(req simRequest) (scenario.Scenario, error) {
 func (s *Server) timeout(req simRequest) time.Duration {
 	d := s.cfg.DefaultTimeout
 	if req.TimeoutSec > 0 {
-		d = time.Duration(req.TimeoutSec * float64(time.Second))
-	}
-	if d > s.cfg.MaxTimeout {
+		// Clamp in seconds first: converting a huge TimeoutSec to a Duration
+		// overflows into a negative deadline.
 		d = s.cfg.MaxTimeout
+		if req.TimeoutSec < d.Seconds() {
+			d = time.Duration(req.TimeoutSec * float64(time.Second))
+		}
 	}
-	return d
+	return min(d, s.cfg.MaxTimeout)
 }
 
 // resultKey derives the content address of a request: SHA-256 over the code

@@ -345,6 +345,19 @@ func TestDeadlineMapsTo504(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutIsServed pins that a deadline far past MaxTimeout clamps to
+// it: the request is served instead of expiring at once.
+func TestHugeTimeoutIsServed(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	resp, body := post(t, ts.URL, "/v1/runs", `{"name":"paper","seed":3,"timeoutSec":1e12}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200 (%s)", resp.StatusCode, body)
+	}
+	if st := s.Stats(); st.Deadlined != 0 {
+		t.Fatalf("deadlined = %d, want 0", st.Deadlined)
+	}
+}
+
 // TestSaturationMapsTo429 saturates the bounded queue directly (all
 // Workers+QueueDepth admission slots taken) and verifies a request needing a
 // simulation is rejected up front with 429 + Retry-After.
@@ -408,6 +421,11 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if d := s.timeout(simRequest{TimeoutSec: 1}); d != time.Second {
 		t.Fatalf("timeoutSec 1 = %v, want 1s", d)
+	}
+	// 1e12 s overflows a Duration; it must clamp to the maximum, not wrap
+	// negative into an instant deadline.
+	if d := s.timeout(simRequest{TimeoutSec: 1e12}); d != time.Minute {
+		t.Fatalf("timeoutSec 1e12 = %v, want the 1m maximum", d)
 	}
 }
 
