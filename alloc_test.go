@@ -36,13 +36,13 @@ func TestRunPathAllocs(t *testing.T) {
 		max  float64
 		op   func(t *testing.T) func()
 	}{
-		{"PAS single run", 50, 310, func(t *testing.T) func() {
+		{"PAS single run", 50, 303, func(t *testing.T) func() {
 			return runOp(t, "paper", 7, pas.ProtoPAS)
 		}},
-		{"SAS single run", 50, 274, func(t *testing.T) func() {
+		{"SAS single run", 50, 267, func(t *testing.T) func() {
 			return runOp(t, "paper", 7, pas.ProtoSAS)
 		}},
-		{"fault path", 50, 665, func(t *testing.T) func() {
+		{"fault path", 50, 658, func(t *testing.T) func() {
 			return runOp(t, "churn", 3, "")
 		}},
 		{"network construction", 50, 1049, func(t *testing.T) func() {
@@ -53,10 +53,10 @@ func TestRunPathAllocs(t *testing.T) {
 				}
 			}
 		}},
-		{"scale", 1, 48947, func(t *testing.T) func() {
+		{"scale", 1, 48938, func(t *testing.T) func() {
 			return runOp(t, "scale-10k", 1, pas.ProtoPAS)
 		}},
-		{"runner pool", 5, 2530, func(t *testing.T) func() {
+		{"runner pool", 5, 2446, func(t *testing.T) func() {
 			opts := pas.ExperimentOptions{Quick: true, Seeds: pas.Seeds(2), Parallelism: 2}
 			return func() {
 				if _, err := experiment.Fig4(opts); err != nil {

@@ -246,62 +246,24 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 	nw.Group.BeginWindows()
 
 	s := nw.Group.Shards()
-	// Spinning assumes every shard's goroutine owns a CPU; with fewer
-	// processors or CPUs than shards (GOMAXPROCS can exceed the CPUs), yield
-	// at once instead of burning the timeslice a shard still inside its
-	// window needs.
-	spinLimit := barrierSpins
-	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) < s {
-		spinLimit = 1
-	}
-	var (
-		phase   atomic.Uint64 // incremented to release the workers
-		pending atomic.Int64  // workers still inside the current window
-		stopped atomic.Bool
-		// end/final are plain fields published by the phase increment (the
-		// atomic store/load pair orders them) and stable until all workers
-		// check in through pending.
-		end   float64
-		final bool
-		wg    sync.WaitGroup
-	)
-	for i := 1; i < s; i++ { // shard 0 runs on this goroutine
-		k := nw.Group.Shard(i)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seen := uint64(0); ; {
-				for spins := 0; phase.Load() == seen; {
-					if spins++; spins >= spinLimit {
-						runtime.Gosched()
-						spins = 0
-					}
-				}
-				seen++
-				if stopped.Load() {
-					return
-				}
-				advance(k, end, final)
-				pending.Add(-1)
-			}
-		}()
+	var b *barrier // nil on one shard, which starts no goroutine
+	if s > 1 {
+		b = startBarrier(nw.Group, s)
 	}
 	// step advances every shard to end and returns at the barrier.
-	step := func() {
-		pending.Store(int64(s - 1))
-		phase.Add(1)
+	step := func(end float64, final bool) {
+		if b != nil {
+			b.release(end, final)
+		}
 		advance(nw.Kernel, end, final)
-		for spins := 0; pending.Load() != 0; {
-			if spins++; spins >= spinLimit {
-				runtime.Gosched()
-				spins = 0
-			}
+		if b != nil {
+			b.wait()
 		}
 	}
 	shutdown := func() {
-		stopped.Store(true)
-		phase.Add(1)
-		wg.Wait()
+		if b != nil {
+			b.stop()
+		}
 	}
 
 	for {
@@ -314,8 +276,7 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 		if next > horizon {
 			break
 		}
-		end, final = next, false
-		step()
+		step(next, false)
 		if s > 1 {
 			nw.Group.EndWindow()
 			for _, m := range nw.Media {
@@ -323,7 +284,7 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 			}
 		}
 		if progress != nil {
-			progress(end, horizon)
+			progress(next, horizon)
 		}
 		select {
 		case <-ctx.Done():
@@ -336,8 +297,7 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 	// No event pending here can influence another shard at or before the
 	// horizon, so the shards are causally independent to the end: no more
 	// barriers, and the serial-inclusive RunUntil semantics apply.
-	end, final = horizon, true
-	step()
+	step(horizon, true)
 	shutdown()
 
 	for _, n := range nw.Nodes {
@@ -347,4 +307,80 @@ func (nw *Network) RunContext(ctx context.Context, horizon float64) (float64, er
 		progress(horizon, horizon)
 	}
 	return horizon, nil
+}
+
+// barrier releases the goroutines of shards 1..s−1 into each window and
+// waits for them at its end; the calling goroutine runs shard 0.
+type barrier struct {
+	phase   atomic.Uint64 // incremented to release the workers
+	pending atomic.Int64  // workers still inside the current window
+	stopped atomic.Bool
+	// end/final are plain fields published by the phase increment (the
+	// atomic store/load pair orders them) and stable until all workers check
+	// in through pending.
+	end       float64
+	final     bool
+	workers   int64
+	spinLimit int
+	wg        sync.WaitGroup
+}
+
+// startBarrier starts one goroutine per shard after the first.
+func startBarrier(g *sim.ShardGroup, s int) *barrier {
+	b := &barrier{workers: int64(s - 1), spinLimit: barrierSpins}
+	// Spinning assumes every shard's goroutine owns a CPU; with fewer
+	// processors or CPUs than shards (GOMAXPROCS can exceed the CPUs), yield
+	// at once instead of burning the timeslice a shard still inside its
+	// window needs.
+	if min(runtime.GOMAXPROCS(0), runtime.NumCPU()) < s {
+		b.spinLimit = 1
+	}
+	for i := 1; i < s; i++ {
+		b.wg.Add(1)
+		go b.work(g.Shard(i))
+	}
+	return b
+}
+
+// work runs one shard through every released window until stop.
+func (b *barrier) work(k *sim.Kernel) {
+	defer b.wg.Done()
+	for seen := uint64(0); ; {
+		for spins := 0; b.phase.Load() == seen; {
+			if spins++; spins >= b.spinLimit {
+				runtime.Gosched()
+				spins = 0
+			}
+		}
+		seen++
+		if b.stopped.Load() {
+			return
+		}
+		advance(k, b.end, b.final)
+		b.pending.Add(-1)
+	}
+}
+
+// release starts the workers on the window ending at end.
+func (b *barrier) release(end float64, final bool) {
+	b.end, b.final = end, final
+	b.pending.Store(b.workers)
+	b.phase.Add(1)
+}
+
+// wait returns once every worker has finished the released window.
+func (b *barrier) wait() {
+	for spins := 0; b.pending.Load() != 0; {
+		if spins++; spins >= b.spinLimit {
+			runtime.Gosched()
+			spins = 0
+		}
+	}
+}
+
+// stop ends the workers and waits for them to exit.
+func (b *barrier) stop() {
+	b.stopped.Store(true)
+	b.phase.Add(1)
+	b.wg.Wait()
 }
