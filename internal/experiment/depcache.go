@@ -51,6 +51,7 @@ var depCache struct {
 // first use. Callers must treat the result as immutable — it is shared across
 // concurrent simulation runs.
 func cachedDeployment(seed int64, field geom.Rect, nodes int, radius float64, spec scenario.DeploymentSpec, maxAttempts int) *deploy.Deployment {
+	spec = spec.Normalized(field, nodes) // every spelling of one draw shares an entry
 	key := depKey{seed: seed, field: field, nodes: nodes, radius: radius, spec: spec, maxAttempts: maxAttempts}
 	depCache.mu.Lock()
 	if d, ok := depCache.m[key]; ok {

@@ -18,6 +18,11 @@ func TestDeploymentCacheSharesIdenticalDraws(t *testing.T) {
 	if a != b {
 		t.Error("identical keys returned distinct deployments")
 	}
+	// Spellings of one draw share it: the hand-built zero spec and the
+	// normalized uniform one a scenario compiles to.
+	if c := cachedDeployment(12345, field, 30, 10, scenario.DeploymentSpec{Kind: scenario.DeployUniform}, 2000); c != a {
+		t.Error("the zero and the explicit uniform spec drew separate deployments")
+	}
 	// The cached result must be byte-identical to a direct draw.
 	direct := deploy.ConnectedUniform(rng.NewSource(12345).Stream("deploy"), field, 30, 10, 2000)
 	if len(direct.Positions) != len(a.Positions) {

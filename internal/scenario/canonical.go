@@ -68,7 +68,7 @@ func Hash(s Scenario) (string, error) {
 // in the fault and predict packages), and the run path compiles this form
 // (experiment.FromScenario), so a spec runs exactly what Canonical hashes.
 func (s Scenario) Normalized() Scenario {
-	s.Deployment = s.Deployment.normalized(s.Field, s.Nodes)
+	s.Deployment = s.Deployment.Normalized(s.Field, s.Nodes)
 	s.Radio = s.Radio.normalized()
 	s.Stimulus = s.Stimulus.normalized()
 	s.Failures = s.Failures.Normalized(s.Horizon)
@@ -76,11 +76,12 @@ func (s Scenario) Normalized() Scenario {
 	return s
 }
 
-// normalized keeps only the fields the kind consumes, with their defaults
-// filled in: 5 clusters (at most n) spread over 10% of the shorter field
-// side, and a Poisson-disk spacing of 70% of the mean uniform spacing
-// sqrt(area/n).
-func (d DeploymentSpec) normalized(field geom.Rect, n int) DeploymentSpec {
+// Normalized keeps only the fields the kind consumes, with their defaults
+// for n nodes over field filled in: 5 clusters (at most n) spread over 10%
+// of the shorter field side, and a Poisson-disk spacing of 70% of the mean
+// uniform spacing sqrt(area/n). Specs that draw the same deployment
+// normalize equal.
+func (d DeploymentSpec) Normalized(field geom.Rect, n int) DeploymentSpec {
 	switch d.Kind {
 	case "", DeployUniform:
 		return DeploymentSpec{Kind: DeployUniform}

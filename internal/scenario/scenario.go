@@ -165,7 +165,7 @@ func (d DeploymentSpec) validate() error {
 // connect); the structured kinds are connected by construction (grid) or
 // intentionally clumpy (clustered, poisson) and are used as-is.
 func (d DeploymentSpec) Generate(st *rng.Stream, field geom.Rect, n int, radius float64, maxAttempts int) *deploy.Deployment {
-	d = d.normalized(field, n)
+	d = d.Normalized(field, n)
 	switch d.Kind {
 	case DeployUniform:
 		return deploy.ConnectedUniform(st, field, n, radius, maxAttempts)
