@@ -151,8 +151,8 @@
 //
 // The PAS/SAS agents embed an optional sink-side liveness tracker
 // (Config.Liveness, a LivenessConfig, which is also the type of a scenario's
-// protocol.liveness section): a peer silent for MissK report
-// intervals turns suspect and is re-probed with capped exponential backoff
+// protocol.liveness section): a peer silent for MissK report intervals
+// turns suspect and is re-probed with capped exponential backoff
 // (BackoffInit doubling up to BackoffMax) until MaxProbes probes go
 // unanswered, then it is declared dead; a later message resurrects it.
 // Metrics gains the graceful-degradation measures (live coverage fraction,
