@@ -192,10 +192,10 @@
 // section is a PredictorConfig, the type PASConfig.Predictor takes too
 // (-predictor on passim/pasbench) — and canonicalization-aware: a spec
 // without a predictor section, or with an explicit default one, keeps its
-// pre-predictor content hash. Metrics gains the prediction-quality measures (arrival RMSE over
-// detecting nodes, report suppressions, max staleness) and ext-predictors
-// sweeps the portfolio inside PAS against the NS/SAS brackets on both the
-// analytic radial front and the PDE plume.
+// pre-predictor content hash. Metrics gains the prediction-quality measures
+// (arrival RMSE over detecting nodes, report suppressions, max staleness)
+// and ext-predictors sweeps the portfolio inside PAS against the NS/SAS
+// brackets on both the analytic radial front and the PDE plume.
 //
 // # Performance
 //
