@@ -53,7 +53,7 @@ func TestRunPathAllocs(t *testing.T) {
 				}
 			}
 		}},
-		{"scale", 1, 48938, func(t *testing.T) func() {
+		{"scale", 1, 48942, func(t *testing.T) func() {
 			return runOp(t, "scale-10k", 1, pas.ProtoPAS)
 		}},
 		{"runner pool", 5, 2446, func(t *testing.T) func() {

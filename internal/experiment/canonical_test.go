@@ -84,3 +84,29 @@ func canonicalRun(t *testing.T, sp scenario.Scenario) (report, verdict string) {
 	rc.Shards = 2
 	return fmt.Sprintf("%+v", rep), fmt.Sprint(Shardable(rc))
 }
+
+// TestFromScenarioNodeOverrideKeepsDensityDefaults pins that a deployment
+// default derived from the node count follows a caller's Nodes override: a
+// poisson spec that leaves its spacing to the default must still place
+// 100 nodes when compiled for 30 and run with 100, as passim -nodes does.
+func TestFromScenarioNodeOverrideKeepsDensityDefaults(t *testing.T) {
+	sp, err := scenario.Decode([]byte(`{"name":"poisson-default",
+	  "field":{"Min":{"X":0,"Y":0},"Max":{"X":40,"Y":40}},"nodes":30,"horizon":140,
+	  "deployment":{"kind":"poisson"},"radio":{"range":10},
+	  "stimulus":{"kind":"radial","origin":{"X":0,"Y":20},"speed":0.5,"start":10}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := FromScenario(sp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.Nodes = 100
+	nw, _, err := Build(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(nw.Nodes); n != 100 {
+		t.Fatalf("built %d nodes, want 100", n)
+	}
+}

@@ -20,10 +20,16 @@ import (
 // spec and channel model are installed, and the spec's protocol overrides are
 // applied on top of the defaults. The caller may still override Protocol and
 // tunables afterwards — experiments do, to sweep them.
+//
+// The deployment section is installed as written: Build normalizes it
+// against the run's own node count (DeploymentSpec.Normalized), which is the
+// spec's unless the caller overrides Nodes, so a density default such as the
+// poisson spacing follows an override instead of saturating.
 func FromScenario(sp scenario.Scenario, seed int64) (RunConfig, error) {
 	if err := sp.Validate(); err != nil {
 		return RunConfig{}, err
 	}
+	deploy := sp.Deployment
 	sp = sp.Normalized()
 	ds, err := sp.BuildStimulus(seed)
 	if err != nil {
@@ -37,7 +43,7 @@ func FromScenario(sp scenario.Scenario, seed int64) (RunConfig, error) {
 		Scenario:   ds,
 		Nodes:      sp.Nodes,
 		Range:      sp.Radio.Range,
-		Deploy:     sp.Deployment,
+		Deploy:     deploy,
 		Protocol:   sp.Protocol.Name,
 		Seed:       seed,
 		Loss:       loss,
