@@ -16,9 +16,11 @@
 //   - Events live in a flat arena ([]event) indexed by slot. Executed and
 //     cancelled slots are recycled through an intrusive freelist instead of
 //     being reallocated, so a long simulation settles into a fixed arena.
-//   - The priority queue is a 4-ary heap of int32 slot indices ordered by
-//     (time, sequence). No container/heap, no boxed interface values, and a
-//     shallower tree than a binary heap (fewer cache misses per sift).
+//   - The priority queue is a 4-ary heap of 16-byte {time, slot} entries
+//     ordered by (time, sequence): a sift compares times inside the heap
+//     array and reads a slot's sequence number only on an exact time tie.
+//     No container/heap, no boxed interface values, and a shallower tree
+//     than a binary heap (fewer cache misses per sift).
 //   - EventIDs are generation-tagged: the low 32 bits name the slot, the
 //     high 32 bits its generation, which is bumped whenever the slot leaves
 //     the pending state. Cancel is therefore an O(1) stamp check that marks
@@ -60,14 +62,16 @@ type EventID uint64
 // event is one arena slot. A slot is pending (in the heap, one of the two
 // handler fields set), dead (in the heap, cancelled, both handlers nil) or
 // free (on the freelist). Exactly one of handler/argh is non-nil while
-// pending; arg rides along with argh.
+// pending; arg rides along with argh. The event's time is in its heap entry.
 type event struct {
-	at  Time
-	seq uint64 // tie-breaker: FIFO among equal times
+	// seq is the tie-breaker among equal times (FIFO). It stays here, not in
+	// the heap entry, because ShardGroup.EndWindow re-keys pending events in
+	// place.
+	seq uint64
 	gen uint32 // current occupant generation
 	// cls is the hop class of the node the event acts for, stamped only on
 	// the shards of a ShardGroup (see window.go); it fills padding, so the
-	// slot stays 56 bytes.
+	// slot stays 48 bytes.
 	cls     uint16
 	handler Handler
 	argh    ArgHandler
@@ -83,7 +87,7 @@ type Kernel struct {
 	now   Time
 	arena []event
 	free  []int32 // recycled slots
-	heap  []int32 // 4-ary heap of slot indices ordered by (at, seq)
+	heap  []entry // 4-ary heap ordered by (at, seq)
 	live  int     // pending (scheduled, not yet executed or cancelled)
 
 	nextSeq uint64
@@ -107,8 +111,9 @@ type Kernel struct {
 // aliased) slot index and corrupt the heap rather than fail.
 var maxArenaSlots = math.MaxInt32
 
-// NewKernel returns a kernel with the clock at zero.
-func NewKernel() *Kernel { return &Kernel{} }
+// NewKernel returns a kernel with the clock at zero. Its heap starts at 64
+// entries: one allocation in place of the first seven growth steps.
+func NewKernel() *Kernel { return &Kernel{heap: make([]entry, 0, 64)} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -140,9 +145,7 @@ func (k *Kernel) claimSlot(at Time) (int32, *event) {
 		k.arena = append(k.arena, event{})
 		slot = int32(len(k.arena) - 1)
 	}
-	e := &k.arena[slot]
-	e.at = at
-	return slot, e
+	return slot, &k.arena[slot]
 }
 
 // scheduleSlot claims an arena slot, assigns the next sequence number and
@@ -158,7 +161,7 @@ func (k *Kernel) scheduleSlot(at Time) (int32, *event) {
 	}
 	k.lastSeq = e.seq
 	k.live++
-	k.heapPush(slot)
+	k.heapPush(entry{at, slot})
 	return slot, e
 }
 
@@ -235,25 +238,24 @@ func (k *Kernel) retire(slot int32) {
 // empty.
 func (k *Kernel) Step() bool {
 	for len(k.heap) > 0 {
-		slot := k.heapPop()
-		e := &k.arena[slot]
+		top := k.heapPop()
+		e := &k.arena[top.slot]
 		if !e.pending() {
 			// Cancelled; recycle without the generation bump (Cancel already
 			// bumped it).
-			k.free = append(k.free, slot)
+			k.free = append(k.free, top.slot)
 			continue
 		}
-		h, ah, arg, at := e.handler, e.argh, e.arg, e.at
-		seq := e.seq
-		k.retire(slot)
+		h, ah, arg, seq := e.handler, e.argh, e.arg, e.seq
+		k.retire(top.slot)
 		k.live--
-		k.now = at
+		k.now = top.at
 		k.processed++
 		if k.ws != nil {
 			// Sharded mode: record the execution key so events this handler
 			// schedules can be ordered exactly as the serial kernel would,
 			// and its hop class, which they inherit. retire left cls intact.
-			k.ws.begin(at, seq, e.cls)
+			k.ws.begin(top.at, seq, e.cls)
 		}
 		if ah != nil {
 			ah(k, arg)
@@ -273,16 +275,9 @@ func (k *Kernel) RunUntil(horizon Time) {
 	if horizon < k.now {
 		panic(fmt.Sprintf("sim: horizon %v before now %v", horizon, k.now))
 	}
-	for len(k.heap) > 0 {
-		// Peek: find the earliest live event.
-		slot := k.heap[0]
-		e := &k.arena[slot]
-		if !e.pending() {
-			k.heapPop()
-			k.free = append(k.free, slot)
-			continue
-		}
-		if e.at > horizon {
+	for {
+		at, ok := k.NextEventTime()
+		if !ok || at > horizon {
 			break
 		}
 		k.Step()
@@ -297,68 +292,72 @@ func (k *Kernel) Run() Time {
 	return k.now
 }
 
-// --- 4-ary heap over arena slots ---
+// --- 4-ary heap of {time, slot} entries ---
 
-// eventLess orders slots by (time, sequence).
-func (k *Kernel) eventLess(a, b int32) bool {
-	ea, eb := &k.arena[a], &k.arena[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
-	}
-	return ea.seq < eb.seq
+// entry is one heap node: an event's time beside its arena slot, 16 bytes.
+type entry struct {
+	at   Time
+	slot int32
 }
 
-// heapPush appends slot and sifts it up.
-func (k *Kernel) heapPush(slot int32) {
-	k.heap = append(k.heap, slot)
+// less orders entries by (time, sequence); the arena is read only on a tie.
+func (k *Kernel) less(a, b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return k.arena[a.slot].seq < k.arena[b.slot].seq
+}
+
+// heapPush appends x and sifts it up.
+func (k *Kernel) heapPush(x entry) {
+	k.heap = append(k.heap, x)
 	h := k.heap
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !k.eventLess(h[i], h[parent]) {
+		if !k.less(x, h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = x
 }
 
-// heapPop removes and returns the minimum slot; the heap must be non-empty.
-func (k *Kernel) heapPop() int32 {
+// heapPop removes and returns the minimum entry; the heap must be non-empty.
+func (k *Kernel) heapPop() entry {
 	h := k.heap
 	top := h[0]
 	last := len(h) - 1
-	h[0] = h[last]
+	x := h[last]
 	k.heap = h[:last]
-	if last > 1 {
-		k.siftDown(0)
+	if last > 0 {
+		k.siftDown(x)
 	}
 	return top
 }
 
-// siftDown restores heap order below i.
-func (k *Kernel) siftDown(i int) {
+// siftDown places x, which replaces the root, at its place below the root.
+func (k *Kernel) siftDown(x entry) {
 	h := k.heap
 	n := len(h)
+	i := 0
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return
+			break
 		}
-		min := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		best, end := first, min(first+4, n)
 		for c := first + 1; c < end; c++ {
-			if k.eventLess(h[c], h[min]) {
-				min = c
+			if k.less(h[c], h[best]) {
+				best = c
 			}
 		}
-		if !k.eventLess(h[min], h[i]) {
-			return
+		if !k.less(h[best], x) {
+			break
 		}
-		h[i], h[min] = h[min], h[i]
-		i = min
+		h[i] = h[best]
+		i = best
 	}
+	h[i] = x
 }

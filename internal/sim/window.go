@@ -243,11 +243,15 @@ func (g *ShardGroup) EndWindow() {
 		g.counter++
 		g.heads[best]++
 	}
-	// Re-key still-pending slots. Along one shard's log both the provisional
-	// and the assigned numbers increase, and every number assigned this
-	// window exceeds every number assigned before it, so the relative order
-	// of all pending events is unchanged — the heap invariant holds without
-	// re-sifting.
+	// Re-key the logged slots still in the heap: pending ones (generation
+	// unchanged) and cancelled ones (bumped once, no handler), whose dead
+	// entries still order their subtrees. Along one shard's log both the
+	// provisional and the assigned numbers increase, and every number
+	// assigned this window exceeds every number assigned before it, so the
+	// relative order of all heap entries is unchanged — the heap invariant
+	// holds without re-sifting. Re-keying an executed (freed) slot is
+	// harmless: a reuse overwrites seq, and a reuse this window is logged
+	// later, so its own record wins.
 	for i, k := range g.shards {
 		for idx := range k.ws.log {
 			rec := &k.ws.log[idx]
@@ -255,7 +259,7 @@ func (g *ShardGroup) EndWindow() {
 				continue
 			}
 			e := &k.arena[rec.slot]
-			if e.gen == rec.gen && e.pending() {
+			if e.gen == rec.gen || e.gen == rec.gen+1 && !e.pending() {
 				e.seq = g.assigned[i][idx]
 			}
 		}
@@ -346,7 +350,7 @@ func (k *Kernel) InjectArgAt(at Time, seq uint64, h ArgHandler, arg any) EventID
 	e.argh = h
 	e.arg = arg
 	k.live++
-	k.heapPush(slot)
+	k.heapPush(entry{at, slot})
 	return EventID(uint64(e.gen)<<32 | uint64(uint32(slot)))
 }
 
@@ -370,12 +374,12 @@ func (g *ShardGroup) WindowEnd(w Time) Time {
 // heap index i. Cancelled slots still order their subtrees, so the walk
 // passes through them without counting them.
 func (k *Kernel) reachBelow(i int, w, best Time) Time {
-	e := &k.arena[k.heap[i]]
-	if reach(e.at, 0, w) >= best {
+	x := k.heap[i]
+	if reach(x.at, 0, w) >= best {
 		return best
 	}
-	if e.pending() {
-		best = min(best, reach(e.at, e.cls, w))
+	if e := &k.arena[x.slot]; e.pending() {
+		best = min(best, reach(x.at, e.cls, w))
 	}
 	for c := 4*i + 1; c <= 4*i+4 && c < len(k.heap); c++ {
 		best = k.reachBelow(c, w, best)
@@ -399,14 +403,13 @@ func reach(at Time, cls uint16, w Time) Time {
 // discarding any cancelled entries that have surfaced.
 func (k *Kernel) NextEventTime() (Time, bool) {
 	for len(k.heap) > 0 {
-		slot := k.heap[0]
-		e := &k.arena[slot]
-		if !e.pending() {
+		top := k.heap[0]
+		if !k.arena[top.slot].pending() {
 			k.heapPop()
-			k.free = append(k.free, slot)
+			k.free = append(k.free, top.slot)
 			continue
 		}
-		return e.at, true
+		return top.at, true
 	}
 	return 0, false
 }

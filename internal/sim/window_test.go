@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"unsafe"
@@ -368,13 +371,13 @@ func TestNextEventTimeSkipsCancelled(t *testing.T) {
 }
 
 // windowEndScan is WindowEnd by brute force: the earliest reach over every
-// pending slot of every shard's arena.
+// heap entry of every shard whose slot is pending.
 func windowEndScan(g *ShardGroup, w Time) Time {
 	best := math.Inf(1)
 	for _, k := range g.shards {
-		for i := range k.arena {
-			if e := &k.arena[i]; e.pending() {
-				best = min(best, reach(e.at, e.cls, w))
+		for _, x := range k.heap {
+			if e := &k.arena[x.slot]; e.pending() {
+				best = min(best, reach(x.at, e.cls, w))
 			}
 		}
 	}
@@ -463,10 +466,151 @@ func TestWindowEndZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestEventSlotSize pins the arena slot at 56 bytes: the hop class rides in
-// padding after the generation, so stamping it costs no memory.
+// TestEventSlotSize pins the arena slot at 48 bytes: the hop class rides in
+// padding after the generation, so stamping it costs no memory, and the
+// event's time lives in its heap entry.
 func TestEventSlotSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 56 {
-		t.Fatalf("event slot is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(event{}); got != 48 {
+		t.Fatalf("event slot is %d bytes, want 48", got)
+	}
+}
+
+// TestHeapEntrySize pins the heap entry at 16 bytes: a sift moves and
+// compares whole entries, four children to a node.
+func TestHeapEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Fatalf("heap entry is %d bytes, want 16", got)
+	}
+}
+
+// TestEndWindowRekeysCancelledSlots pins the barrier re-key of an event
+// scheduled and cancelled in the same window. Its dead heap entry still
+// orders its subtree, so it must take a serial number like its live
+// siblings: left with its provisional number (bit 63 set), it sorts after
+// the live same-time events below it, and one of them surfaces out of
+// serial order. Here C sits below the cancelled P; the serial kernel runs C
+// before S.
+func TestEndWindowRekeysCancelledSlots(t *testing.T) {
+	program := func(k *Kernel, order *[]string) {
+		k.ScheduleAt(0.5, func(k *Kernel) {
+			at := func(at Time, l string) EventID {
+				return k.ScheduleAt(at, func(*Kernel) { *order = append(*order, l) })
+			}
+			at(1, "R")
+			p := at(2, "P")
+			at(3, "F1")
+			at(3, "F2")
+			at(3, "F3")
+			at(2, "C")
+			at(3, "G1")
+			at(3, "G2")
+			at(3, "G3")
+			at(2, "S")
+			k.Cancel(p)
+		})
+	}
+	var want []string
+	serial := NewKernel()
+	program(serial, &want)
+	serial.Run()
+
+	g := NewShardGroup(2)
+	var got []string
+	program(g.Shard(0), &got)
+	g.BeginWindows()
+	for _, end := range []Time{1, 10} {
+		for i := 0; i < g.Shards(); i++ {
+			g.Shard(i).RunWindow(end)
+		}
+		g.EndWindow()
+	}
+	if len(got) != len(want) {
+		t.Fatalf("sharded run executed %v, serial %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sharded order %v, serial order %v", got, want)
+		}
+	}
+}
+
+// randomProgram seeds one random schedule-and-cancel tree per root on
+// kernelOf(root). Each event decides from its own label alone how many
+// children to schedule, at coarse delays so that times tie, and whether to
+// cancel one event its tree scheduled before; so a serial and a sharded run
+// make the same decisions for as long as they execute the same events in the
+// same order. record logs each execution with its root.
+func randomProgram(seed int64, roots int, kernelOf func(root int) *Kernel, record func(root int, label string)) {
+	type tree struct {
+		root, budget int
+		labels       []string
+		ids          map[string]EventID
+	}
+	var node func(tr *tree, label string) Handler
+	node = func(tr *tree, label string) Handler {
+		return func(k *Kernel) {
+			record(tr.root, label)
+			h := fnv.New64a()
+			h.Write([]byte(label))
+			rng := rand.New(rand.NewSource(seed ^ int64(h.Sum64())))
+			for j := rng.Intn(4); j > 0 && tr.budget > 0; j-- {
+				tr.budget--
+				child := fmt.Sprintf("%s.%d", label, j)
+				tr.ids[child] = k.Schedule([]Time{0, 0.5, 1, 1.5, 2.5}[rng.Intn(5)], node(tr, child))
+				tr.labels = append(tr.labels, child)
+			}
+			if n := len(tr.labels); n > 0 && rng.Intn(3) == 0 {
+				k.Cancel(tr.ids[tr.labels[rng.Intn(n)]])
+			}
+		}
+	}
+	for r := 0; r < roots; r++ {
+		tr := &tree{root: r, budget: 60, ids: make(map[string]EventID)}
+		kernelOf(r).ScheduleAt(Time(r%3), node(tr, fmt.Sprint(r)))
+	}
+}
+
+// TestRandomWindowsMatchSerial runs random schedule-and-cancel trees with
+// tied times on 2 and 3 shards, one window per unit of time, and requires
+// every shard to execute its events in the serial kernel's order. It covers
+// what the hand-built tie and re-key tests cover one case each of: events
+// scheduled, cancelled and executed in the window that scheduled them or a
+// later one, next to dead heap entries of every age.
+func TestRandomWindowsMatchSerial(t *testing.T) {
+	const roots = 4
+	for seed := int64(1); seed <= 200; seed++ {
+		var want [roots][]string
+		serial := NewKernel()
+		randomProgram(seed, roots, func(int) *Kernel { return serial },
+			func(r int, l string) { want[r] = append(want[r], l) })
+		serial.Run()
+
+		for _, shards := range []int{2, 3} {
+			g := NewShardGroup(shards)
+			var got [roots][]string
+			randomProgram(seed, roots, func(r int) *Kernel { return g.Shard(r % shards) },
+				func(r int, l string) { got[r] = append(got[r], l) })
+			g.BeginWindows()
+			for {
+				end, any := Time(0), false
+				for i := 0; i < shards; i++ {
+					if at, ok := g.Shard(i).NextEventTime(); ok && (!any || at+1 < end) {
+						end, any = at+1, true
+					}
+				}
+				if !any {
+					break
+				}
+				for i := 0; i < shards; i++ {
+					g.Shard(i).RunWindow(end)
+				}
+				g.EndWindow()
+			}
+			for r := range want {
+				if !slices.Equal(got[r], want[r]) {
+					t.Fatalf("seed %d, %d shards, root %d: executed %v, serial order %v", seed, shards, r, got[r], want[r])
+				}
+			}
+		}
 	}
 }
