@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/node"
@@ -32,8 +30,7 @@ import (
 type Agent struct {
 	cfg      Config
 	n        *node.Node // bound at Init; the arg handlers below reach it here
-	reports  map[radio.NodeID]predict.Report
-	scratch  []predict.Report // reused snapshot buffer for the estimators
+	reports  predict.Table
 	schedule SleepSchedule
 
 	// model is the pluggable prediction subsystem, embedded by value so
@@ -71,7 +68,6 @@ func New(cfg Config) *Agent {
 func (a *Agent) fill(cfg Config) {
 	*a = Agent{
 		cfg:      cfg,
-		reports:  make(map[radio.NodeID]predict.Report),
 		schedule: MakeSleepSchedule(cfg.SleepInit, cfg.SleepIncrement, cfg.SleepMax),
 	}
 	a.model.Init(cfg.Predictor, predict.EstimatorConfig{
@@ -131,7 +127,7 @@ func agentReassess(_ *sim.Kernel, arg any) {
 func agentVelocityWindow(_ *sim.Kernel, arg any) {
 	a := arg.(*Agent)
 	n := a.n
-	v, ok := predict.ActualVelocity(n.Pos(), a.detectedAt, a.reportSlice(), a.cfg.MinVelocityDt)
+	v, ok := predict.ActualVelocity(n.Pos(), a.detectedAt, a.reports, a.cfg.MinVelocityDt)
 	if ok {
 		a.model.SetVelocity(v)
 	}
@@ -339,7 +335,7 @@ func (a *Agent) handleRequest(n *node.Node) {
 // switching kind additionally suppresses reports within its dual-prediction
 // tolerance.
 func (a *Agent) handleResponse(n *node.Node, from radio.NodeID, m Response) {
-	a.reports[from] = reportFromResponse(from, m, n.Now())
+	a.reports.Put(m.Report(from, n.Now()))
 	switch n.State() {
 	case node.StateCovered:
 		// Covered nodes only serve information; their own arrival is fact.
@@ -363,8 +359,9 @@ func (a *Agent) handleResponse(n *node.Node, from radio.NodeID, m Response) {
 	}
 }
 
-// reportFromResponse converts a wire response into a stored report.
-func reportFromResponse(from radio.NodeID, r Response, now float64) predict.Report {
+// Report converts a response from neighbour from, received at now, into the
+// report the PAS and SAS agents store.
+func (r Response) Report(from radio.NodeID, now float64) predict.Report {
 	return predict.Report{
 		ID:               from,
 		Pos:              r.Pos,
@@ -382,7 +379,7 @@ func reportFromResponse(from radio.NodeID, r Response, now float64) predict.Repo
 // refreshEstimate delegates one prediction refresh to the plugged predictor
 // and returns the expected arrival in seconds from now.
 func (a *Agent) refreshEstimate(n *node.Node) float64 {
-	return a.model.Refresh(predict.Input{Pos: n.Pos(), Now: n.Now(), Reports: a.reportSlice()})
+	return a.model.Refresh(predict.Input{Pos: n.Pos(), Now: n.Now(), Reports: a.reports})
 }
 
 // sendResponse broadcasts the node's current knowledge.
@@ -403,21 +400,4 @@ func (a *Agent) sendResponse(n *node.Node) {
 		DetectedAt:       a.detectedAt,
 		Detected:         a.detected,
 	}.Envelope())
-}
-
-// reportSlice snapshots the report table in deterministic (ID) order. The
-// backing buffer is reused across calls — the estimators it feeds only read
-// the slice during the call, so this is allocation-free at steady state.
-func (a *Agent) reportSlice() []predict.Report {
-	if cap(a.scratch) < len(a.reports) {
-		// One right-sized allocation instead of an append growth chain.
-		a.scratch = make([]predict.Report, 0, len(a.reports))
-	}
-	out := a.scratch[:0]
-	for _, r := range a.reports {
-		out = append(out, r)
-	}
-	slices.SortFunc(out, func(x, y predict.Report) int { return int(x.ID) - int(y.ID) })
-	a.scratch = out
-	return out
 }

@@ -21,8 +21,8 @@ type EstimatorConfig struct {
 }
 
 // Input is one prediction refresh request from the agent: its position, the
-// current time, and the neighbour-report snapshot. The Reports slice is
-// only read during the call, so the agent may reuse its scratch buffer.
+// current time, and its neighbour reports. Reports is the agent's own Table,
+// sorted by ID; the predictor reads it and never writes or keeps it.
 type Input struct {
 	Pos     geom.Vec2
 	Now     float64

@@ -12,7 +12,9 @@
 package predict
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/node"
@@ -37,6 +39,30 @@ type Report struct {
 	Detected         bool
 	ReceivedAt       float64 // local receive time, for aging
 }
+
+// Table is a node's neighbour-report table: at most one report per
+// neighbour, kept sorted by ID. An agent hands it to the estimators as is, so
+// they read the reports in one deterministic order with no copy and no sort.
+type Table []Report
+
+// Put records r, replacing the report of the same neighbour if the table
+// holds one.
+func (t *Table) Put(r Report) {
+	i, found := slices.BinarySearchFunc(*t, r.ID, func(e Report, id radio.NodeID) int { return cmp.Compare(e.ID, id) })
+	if found {
+		(*t)[i] = r
+		return
+	}
+	if *t == nil {
+		*t = make(Table, 0, tableCap)
+	}
+	*t = slices.Insert(*t, i, r)
+}
+
+// tableCap is a table's first capacity: 8 reports fill one 704-byte size
+// class and hold nearly every neighbourhood the registry deploys, in one
+// allocation where growing from nil would take four.
+const tableCap = 8
 
 // SpeedOnly encodes a speed-only (directionless) estimate as a vector whose
 // magnitude carries the speed. Reports built from it must leave HasDirection

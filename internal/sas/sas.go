@@ -14,7 +14,6 @@ package sas
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -77,8 +76,7 @@ func DefaultConfig() Config {
 type Agent struct {
 	cfg      Config
 	n        *node.Node // bound at Init; the arg handlers below reach it here
-	reports  map[radio.NodeID]predict.Report
-	scratch  []predict.Report // reused snapshot buffer
+	reports  predict.Table
 	schedule core.SleepSchedule
 
 	speed    float64 // scalar spreading-speed estimate (0 = unknown)
@@ -110,7 +108,6 @@ func New(cfg Config) *Agent {
 func (a *Agent) fill(cfg Config) {
 	*a = Agent{
 		cfg:      cfg,
-		reports:  make(map[radio.NodeID]predict.Report),
 		schedule: core.MakeSleepSchedule(cfg.SleepInit, cfg.SleepIncrement, cfg.SleepMax),
 	}
 }
@@ -274,7 +271,7 @@ func (a *Agent) OnDetect(n *node.Node) {
 func (a *Agent) scalarSpeed(n *node.Node) (float64, bool) {
 	var sum float64
 	count := 0
-	for _, r := range a.sortedReports() {
+	for _, r := range a.reports {
 		if !r.Detected || r.State != node.StateCovered {
 			continue
 		}
@@ -330,18 +327,7 @@ func (a *Agent) handleRequest(n *node.Node) {
 
 // handleResponse folds a neighbour's alert into the report table.
 func (a *Agent) handleResponse(n *node.Node, from radio.NodeID, m core.Response) {
-	a.reports[from] = predict.Report{
-		ID:               from,
-		Pos:              m.Pos,
-		State:            m.State,
-		Velocity:         m.Velocity,
-		HasVelocity:      m.HasVelocity,
-		HasDirection:     m.HasDirection,
-		PredictedArrival: m.PredictedArrival,
-		DetectedAt:       m.DetectedAt,
-		Detected:         m.Detected,
-		ReceivedAt:       n.Now(),
-	}
+	a.reports.Put(m.Report(from, n.Now()))
 	if n.State() == node.StateAlert && a.eta(n) >= a.cfg.AlertThreshold {
 		a.enterSafe(n, true)
 	}
@@ -353,7 +339,7 @@ func (a *Agent) handleResponse(n *node.Node, from radio.NodeID, m core.Response)
 func (a *Agent) eta(n *node.Node) float64 {
 	now := n.Now()
 	best := math.Inf(1)
-	for _, r := range a.sortedReports() {
+	for _, r := range a.reports {
 		if a.cfg.MaxReportAge > 0 && now-r.ReceivedAt > a.cfg.MaxReportAge {
 			continue
 		}
@@ -394,20 +380,4 @@ func (a *Agent) sendResponse(n *node.Node) {
 		DetectedAt:       a.detectedAt,
 		Detected:         a.detected,
 	}.Envelope())
-}
-
-// sortedReports snapshots the report table in deterministic (ID) order into
-// a reused buffer; callers only read the slice during the call.
-func (a *Agent) sortedReports() []predict.Report {
-	if cap(a.scratch) < len(a.reports) {
-		// One right-sized allocation instead of an append growth chain.
-		a.scratch = make([]predict.Report, 0, len(a.reports))
-	}
-	out := a.scratch[:0]
-	for _, r := range a.reports {
-		out = append(out, r)
-	}
-	slices.SortFunc(out, func(x, y predict.Report) int { return int(x.ID) - int(y.ID) })
-	a.scratch = out
-	return out
 }
