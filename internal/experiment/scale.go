@@ -35,31 +35,16 @@ func FromScenario(sp scenario.Scenario, seed int64) (RunConfig, error) {
 	if err != nil {
 		return RunConfig{}, err
 	}
-	loss, err := sp.Radio.Model()
-	if err != nil {
-		return RunConfig{}, err
-	}
 	rc := RunConfig{
-		Scenario:   ds,
-		Nodes:      sp.Nodes,
-		Range:      sp.Radio.Range,
-		Deploy:     deploy,
-		Protocol:   sp.Protocol.Name,
-		Seed:       seed,
-		Loss:       loss,
-		Collisions: sp.Radio.Collisions,
+		Scenario: ds,
+		Nodes:    sp.Nodes,
+		Range:    sp.Radio.Range,
+		Deploy:   deploy,
+		Protocol: sp.Protocol.Name,
+		Seed:     seed,
 	}
-	if f := sp.Failures; f.Extended() {
-		// Extended fault models compile into a plan; the FailFraction fields
-		// stay zero so Build's uniform kill is skipped and the plan's crash
-		// model (byte-compatible for pure uniform kills) takes over.
-		rc.Faults = fault.Compile(f, sp.Horizon)
-	} else {
-		rc.FailFraction, rc.FailBy = f.Fraction, f.By
-	}
-	if sp.Radio.CSMA {
-		csma := radio.DefaultCSMA()
-		rc.CSMA = &csma
+	if err := rc.transmitPath(sp); err != nil {
+		return RunConfig{}, err
 	}
 	rc = rc.Defaults()
 	p := sp.Protocol
@@ -79,6 +64,29 @@ func FromScenario(sp scenario.Scenario, seed int64) (RunConfig, error) {
 		rc.PAS.Predictor = *p.Predictor
 	}
 	return rc, nil
+}
+
+// transmitPath compiles the normalized spec's radio and failures sections
+// into rc: everything Shardable reads.
+func (rc *RunConfig) transmitPath(sp scenario.Scenario) error {
+	loss, err := sp.Radio.Model()
+	if err != nil {
+		return err
+	}
+	rc.Loss, rc.Collisions = loss, sp.Radio.Collisions
+	if sp.Radio.CSMA {
+		csma := radio.DefaultCSMA()
+		rc.CSMA = &csma
+	}
+	if f := sp.Failures; f.Extended() {
+		// Extended fault models compile into a plan; the FailFraction fields
+		// stay zero so Build's uniform kill is skipped and the plan's crash
+		// model (byte-compatible for pure uniform kills) takes over.
+		rc.Faults = fault.Compile(f, sp.Horizon)
+	} else {
+		rc.FailFraction, rc.FailBy = f.Fraction, f.By
+	}
+	return nil
 }
 
 // scaleSleep applies the standard extension-experiment sleep schedule (cap

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/radio"
+	"repro/internal/scenario"
 )
 
 // minWireBytes is the smallest on-air frame any protocol in this repository
@@ -15,11 +16,11 @@ import (
 // a panic).
 var minWireBytes = core.Request{}.Size()
 
-// Shardable reports whether the (defaulted) config can run on rc.Shards
-// kernels, and the first reason it cannot. A negative count is an error.
-// One shard (Shards 0 or 1) is serial execution and accepts every config.
-// Two or more require a transmit path free of shared randomness and
-// cross-shard receiver state at transmit time: exact unit-disk loss, no
+// Shardable reports whether the config can run on rc.Shards kernels, and the
+// first reason it cannot. A negative count is an error. One shard (Shards 0
+// or 1) is serial execution and accepts every config. Two or more require a
+// transmit path free of shared randomness and cross-shard receiver state at
+// transmit time: exact unit-disk loss (a nil Loss defaults to it), no
 // collision modelling, no CSMA, no extended fault plan. Battery budgets and
 // legacy FailFraction crashes are fine — both are construction-time effects
 // that draw their randomness before the shards start running.
@@ -30,13 +31,8 @@ func Shardable(rc RunConfig) error {
 	if rc.Shards < 2 {
 		return nil
 	}
-	rc = rc.Defaults()
-	loss := rc.Loss
-	if loss == nil {
-		loss = radio.UnitDisk{Range: rc.Range}
-	}
-	if _, ok := loss.(radio.UnitDisk); !ok {
-		return fmt.Errorf("experiment: sharded runs require unit-disk loss, got %T", loss)
+	if _, ok := rc.Loss.(radio.UnitDisk); rc.Loss != nil && !ok {
+		return fmt.Errorf("experiment: sharded runs require unit-disk loss, got %T", rc.Loss)
 	}
 	if rc.Collisions {
 		return fmt.Errorf("experiment: collision modelling cannot run sharded")
@@ -48,4 +44,21 @@ func Shardable(rc RunConfig) error {
 		return fmt.Errorf("experiment: extended fault plans cannot run sharded")
 	}
 	return nil
+}
+
+// ShardableScenario is Shardable for spec sp run on shards kernels, decided
+// without building its stimulus (for plume, a PDE solve): one shard needs
+// nothing compiled, and two or more only the normalized radio and failures
+// sections.
+func ShardableScenario(sp scenario.Scenario, shards int) error {
+	rc := RunConfig{Shards: shards}
+	if shards >= 2 {
+		if err := sp.Validate(); err != nil {
+			return err
+		}
+		if err := rc.transmitPath(sp.Normalized()); err != nil {
+			return err
+		}
+	}
+	return Shardable(rc)
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -81,6 +82,44 @@ func TestShardableGate(t *testing.T) {
 	}
 	if _, err := RunOnce(lossy); err == nil {
 		t.Error("RunOnce on an unshardable config with Shards set did not error")
+	}
+}
+
+// TestShardableScenarioMatchesCompiledRun pins the spec-level gate to the
+// run-level one: for every registry entry and every canonical-form overlay,
+// at -1 to 3 shards, ShardableScenario must give the verdict Shardable gives
+// on the fully compiled run.
+func TestShardableScenarioMatchesCompiledRun(t *testing.T) {
+	specs := scenario.All()
+	for _, o := range canonicalOverlays {
+		sp, err := scenario.Decode([]byte(`{"name":"` + o.name + `",
+		  "field":{"Min":{"X":0,"Y":0},"Max":{"X":40,"Y":40}},"nodes":30,"horizon":140,
+		  "radio":{"range":10},
+		  "stimulus":{"kind":"radial","origin":{"X":0,"Y":20},"speed":0.5,"start":10},` + o.json + `}`))
+		if err != nil {
+			t.Fatalf("%s: %v", o.name, err)
+		}
+		specs = append(specs, sp)
+	}
+	refused := 0
+	for _, sp := range specs {
+		rc, err := FromScenario(sp, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		for shards := -1; shards <= 3; shards++ {
+			rc.Shards = shards
+			got, want := fmt.Sprint(ShardableScenario(sp, shards)), fmt.Sprint(Shardable(rc))
+			if got != want {
+				t.Errorf("%s at %d shards: ShardableScenario says %q, Shardable of the run %q", sp.Name, shards, got, want)
+			}
+			if shards >= 2 && want != "<nil>" {
+				refused++
+			}
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no spec was refused at two shards; the comparison is vacuous")
 	}
 }
 

@@ -145,8 +145,10 @@ func (s *Server) parse(r *http.Request, mode string) (simCall, error) {
 	if err != nil {
 		return simCall{}, badRequest("%v", err)
 	}
-	if err := checkShards(sp, req.Shards); err != nil {
-		return simCall{}, err
+	// A spec that cannot run on the hinted kernel count is a 400 now, not a
+	// late compute failure.
+	if err := experiment.ShardableScenario(sp, req.Shards); err != nil {
+		return simCall{}, badRequest("%v", err)
 	}
 	return simCall{
 		JobEntry: store.JobEntry{Mode: mode, Key: resultKey(s.cfg.Version, mode, canon, seeds...),
@@ -265,24 +267,6 @@ func (c *simCall) replicate(ctx context.Context) ([]byte, error) {
 		BatteryDeaths: meanCI(agg.Deaths),
 		FirstDeath:    meanCI(agg.FirstDeath),
 	})
-}
-
-// checkShards validates the shards execution hint up front, so a spec that
-// cannot run on that many kernels is a 400 at submit time rather than a late
-// compute failure.
-func checkShards(sp scenario.Scenario, shards int) error {
-	if shards == 0 {
-		return nil
-	}
-	rc, err := experiment.FromScenario(sp, 1)
-	if err != nil {
-		return badRequest("%v", err)
-	}
-	rc.Shards = shards
-	if err := experiment.Shardable(rc); err != nil {
-		return badRequest("%v", err)
-	}
-	return nil
 }
 
 // maxReplicateSeeds bounds one replicate request; larger studies should be
