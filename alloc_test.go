@@ -36,16 +36,16 @@ func TestRunPathAllocs(t *testing.T) {
 		max  float64
 		op   func(t *testing.T) func()
 	}{
-		{"PAS single run", 50, 303, func(t *testing.T) func() {
+		{"PAS single run", 50, 179, func(t *testing.T) func() {
 			return runOp(t, "paper", 7, pas.ProtoPAS)
 		}},
-		{"SAS single run", 50, 267, func(t *testing.T) func() {
+		{"SAS single run", 50, 175, func(t *testing.T) func() {
 			return runOp(t, "paper", 7, pas.ProtoSAS)
 		}},
-		{"fault path", 50, 658, func(t *testing.T) func() {
+		{"fault path", 50, 512, func(t *testing.T) func() {
 			return runOp(t, "churn", 3, "")
 		}},
-		{"network construction", 50, 1049, func(t *testing.T) func() {
+		{"network construction", 50, 44, func(t *testing.T) func() {
 			cfg := scenarioConfig(t, "scale-1k", 1, pas.ProtoPAS)
 			return func() {
 				if _, _, err := experiment.Build(cfg); err != nil {
@@ -53,10 +53,10 @@ func TestRunPathAllocs(t *testing.T) {
 				}
 			}
 		}},
-		{"scale", 1, 48942, func(t *testing.T) func() {
+		{"scale", 1, 30320, func(t *testing.T) func() {
 			return runOp(t, "scale-10k", 1, pas.ProtoPAS)
 		}},
-		{"runner pool", 5, 2446, func(t *testing.T) func() {
+		{"runner pool", 5, 1699, func(t *testing.T) func() {
 			opts := pas.ExperimentOptions{Quick: true, Seeds: pas.Seeds(2), Parallelism: 2}
 			return func() {
 				if _, err := experiment.Fig4(opts); err != nil {
@@ -65,19 +65,13 @@ func TestRunPathAllocs(t *testing.T) {
 			}
 		}},
 		{"serve hit", 200, 177, func(t *testing.T) func() {
-			srv, err := pas.NewServer(pas.ServeConfig{Version: "alloc"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			body := `{"name":"paper","seed":1}`
-			return func() {
-				w := httptest.NewRecorder()
-				srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body)))
-				if w.Code != http.StatusOK {
-					t.Fatalf("status %d: %s", w.Code, w.Body)
-				}
-			}
+			return serveOp(t, `{"name":"paper","seed":1}`)
+		}},
+		// The shards hint is an execution hint outside the result key, so
+		// this is a memory hit too; its verdict must not build the plume's
+		// PDE stimulus.
+		{"serve hit with shards hint", 200, 269, func(t *testing.T) func() {
+			return serveOp(t, `{"name":"plume","seed":1,"shards":2}`)
 		}},
 		{"store read", 200, 8, func(t *testing.T) func() {
 			s, err := store.Open(t.TempDir())
@@ -104,6 +98,23 @@ func TestRunPathAllocs(t *testing.T) {
 				t.Errorf("%v allocs/op, above the ceiling of %v", got, row.max)
 			}
 		})
+	}
+}
+
+// serveOp returns one POST /v1/runs of body to a fresh in-memory server,
+// which must answer 200.
+func serveOp(t *testing.T, body string) func() {
+	srv, err := pas.NewServer(pas.ServeConfig{Version: "alloc"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return func() {
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body)))
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
 	}
 }
 

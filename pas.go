@@ -205,9 +205,11 @@
 //
 //   - internal/sim is an arena-based discrete-event kernel: events live in a
 //     flat slice recycled through a freelist, the priority queue is a 4-ary
-//     heap of slot indices (no container/heap interface boxing), and
-//     EventIDs are generation-tagged so Cancel is an O(1) stamp check with
-//     lazy removal at pop. Events can carry an argument (ScheduleArgAt), so
+//     heap of 16-byte {time, slot} entries (no container/heap interface
+//     boxing; a sift compares times inside the heap array and reads an
+//     event's sequence number only on an exact time tie), and EventIDs are
+//     generation-tagged so Cancel is an O(1) stamp check with lazy removal
+//     at pop. Events can carry an argument (ScheduleArgAt), so
 //     batched subsystems schedule one long-lived handler against pooled
 //     records instead of a closure per event; sim.Timer re-arms through a
 //     shared trampoline (and ResetArg makes re-arms entirely closure-free).
@@ -229,8 +231,12 @@
 //     radio endpoints and protocol agents from per-network slabs, meters
 //     and timers are embedded by value, and protocol callbacks are
 //     package-level arg handlers bound to the agent, so building a
-//     10 000-node network costs ~1 allocation per node instead of ~35
-//     (BenchmarkNetworkConstruction tracks the build-only cost).
+//     1 000-node network costs about 44 allocations in all, not one per
+//     node (BenchmarkNetworkConstruction tracks the build-only cost).
+//   - Each PAS or SAS agent keeps its neighbour reports in one
+//     predict.Table, sorted by ID, and hands it to the predictor as is:
+//     a RESPONSE replaces its sender's entry in place, and a refresh reads
+//     the table with no map, copy or sort.
 //   - internal/experiment memoizes deployments AND their compiled
 //     topologies: every cell sharing (seed, field, nodes, range, loss
 //     range) reuses one immutable deployment and one CSR compilation
