@@ -572,10 +572,10 @@ func randomProgram(seed int64, roots int, kernelOf func(root int) *Kernel, recor
 
 // TestRandomWindowsMatchSerial runs random schedule-and-cancel trees with
 // tied times on 2 and 3 shards, one window per unit of time, and requires
-// every shard to execute its events in the serial kernel's order. It covers
-// what the hand-built tie and re-key tests cover one case each of: events
-// scheduled, cancelled and executed in the window that scheduled them or a
-// later one, next to dead heap entries of every age.
+// every shard to execute its events in the serial kernel's order. The tie
+// and re-key tests above each build one case by hand; this one draws events
+// that are scheduled, cancelled and executed in the window that scheduled
+// them or in a later one, beside dead heap entries of every age.
 func TestRandomWindowsMatchSerial(t *testing.T) {
 	const roots = 4
 	for seed := int64(1); seed <= 200; seed++ {
