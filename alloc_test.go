@@ -36,16 +36,16 @@ func TestRunPathAllocs(t *testing.T) {
 		max  float64
 		op   func(t *testing.T) func()
 	}{
-		{"PAS single run", 50, 179, func(t *testing.T) func() {
+		{"PAS single run", 50, 142, func(t *testing.T) func() {
 			return runOp(t, "paper", 7, pas.ProtoPAS)
 		}},
-		{"SAS single run", 50, 175, func(t *testing.T) func() {
+		{"SAS single run", 50, 138, func(t *testing.T) func() {
 			return runOp(t, "paper", 7, pas.ProtoSAS)
 		}},
-		{"fault path", 50, 512, func(t *testing.T) func() {
+		{"fault path", 50, 476, func(t *testing.T) func() {
 			return runOp(t, "churn", 3, "")
 		}},
-		{"network construction", 50, 44, func(t *testing.T) func() {
+		{"network construction", 50, 38, func(t *testing.T) func() {
 			cfg := scenarioConfig(t, "scale-1k", 1, pas.ProtoPAS)
 			return func() {
 				if _, _, err := experiment.Build(cfg); err != nil {
@@ -53,10 +53,10 @@ func TestRunPathAllocs(t *testing.T) {
 				}
 			}
 		}},
-		{"scale", 1, 30320, func(t *testing.T) func() {
+		{"scale", 1, 30188, func(t *testing.T) func() {
 			return runOp(t, "scale-10k", 1, pas.ProtoPAS)
 		}},
-		{"runner pool", 5, 1699, func(t *testing.T) func() {
+		{"runner pool", 5, 1333, func(t *testing.T) func() {
 			opts := pas.ExperimentOptions{Quick: true, Seeds: pas.Seeds(2), Parallelism: 2}
 			return func() {
 				if _, err := experiment.Fig4(opts); err != nil {

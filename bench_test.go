@@ -344,7 +344,6 @@ func BenchmarkKernelScheduleCancel(b *testing.B) {
 // benchSink is an allocation-free receiver for the broadcast benchmark.
 type benchSink struct{ delivered int }
 
-func (s *benchSink) Listening() bool                      { return true }
 func (s *benchSink) Deliver(radio.NodeID, radio.Envelope) { s.delivered++ }
 
 // BenchmarkBroadcastDeliver times one full broadcast→delivery cycle of a

@@ -202,7 +202,7 @@ func TestTerrainFrontModelSurface(t *testing.T) {
 		t.Fatal("no front velocity")
 	}
 	out := q.Sub(geom.V(20, 20)).Normalize()
-	if v.CosBetween(out) < 0.7 {
+	if v.Dot(out)/v.Norm() < 0.7 {
 		t.Errorf("velocity %v not outward", v)
 	}
 	if v.Norm() < 0.3 || v.Norm() > 0.8 {

@@ -184,8 +184,8 @@ func TestPlumeFrontVelocityPointsOutward(t *testing.T) {
 		t.Fatal("zero front velocity at covered point")
 	}
 	outward := q.Sub(geom.V(20, 20)).Normalize()
-	if v.CosBetween(outward) < 0.5 {
-		t.Errorf("front velocity %v not outward-ish (cos=%v)", v, v.CosBetween(outward))
+	if cos := v.Dot(outward) / v.Norm(); cos < 0.5 {
+		t.Errorf("front velocity %v not outward-ish (cos=%v)", v, cos)
 	}
 }
 

@@ -60,23 +60,6 @@ func (v Vec2) Normalize() Vec2 {
 // Angle returns the polar angle of v in radians, in (-π, π].
 func (v Vec2) Angle() float64 { return math.Atan2(v.Y, v.X) }
 
-// CosBetween returns cos of the included angle between v and w, in [-1, 1].
-// If either vector is zero the result is 0 (perpendicular by convention; the
-// arrival-time predictor treats cos ≤ 0 as "not approaching").
-func (v Vec2) CosBetween(w Vec2) float64 {
-	nv, nw := v.Norm(), w.Norm()
-	if nv == 0 || nw == 0 {
-		return 0
-	}
-	c := v.Dot(w) / (nv * nw)
-	if c > 1 {
-		c = 1
-	} else if c < -1 {
-		c = -1
-	}
-	return c
-}
-
 // Lerp linearly interpolates between v and w: t=0 gives v, t=1 gives w.
 func (v Vec2) Lerp(w Vec2, t float64) Vec2 {
 	return Vec2{v.X + (w.X-v.X)*t, v.Y + (w.Y-v.Y)*t}

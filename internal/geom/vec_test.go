@@ -67,21 +67,6 @@ func TestAngle(t *testing.T) {
 	}
 }
 
-func TestCosBetween(t *testing.T) {
-	if c := V(1, 0).CosBetween(V(2, 0)); !almost(c, 1, eps) {
-		t.Errorf("cos parallel = %v, want 1", c)
-	}
-	if c := V(1, 0).CosBetween(V(0, 3)); !almost(c, 0, eps) {
-		t.Errorf("cos perpendicular = %v, want 0", c)
-	}
-	if c := V(1, 0).CosBetween(V(-5, 0)); !almost(c, -1, eps) {
-		t.Errorf("cos antiparallel = %v, want -1", c)
-	}
-	if c := Zero.CosBetween(V(1, 0)); c != 0 {
-		t.Errorf("cos with zero vector = %v, want 0", c)
-	}
-}
-
 func TestLerpVec(t *testing.T) {
 	a, b := V(0, 0), V(10, 20)
 	if got := a.Lerp(b, 0); got != a {

@@ -5,9 +5,10 @@
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -113,8 +114,8 @@ type RunReport struct {
 // Collect builds a RunReport from a finished network. Horizon must match the
 // Run horizon so residency fractions are meaningful.
 func Collect(nodes []*node.Node, horizon float64) RunReport {
-	rep := RunReport{Horizon: horizon, FirstDeath: math.Inf(1), LiveFraction: 1}
-	var delays []float64
+	rep := RunReport{Horizon: horizon, FirstDeath: math.Inf(1), LiveFraction: 1, Nodes: make([]NodeReport, 0, len(nodes))}
+	delays := make([]float64, 0, len(nodes))
 	var energySum, dutySum float64
 	var downSum, staleSum float64
 	var errSqSum float64
@@ -208,7 +209,7 @@ func Collect(nodes []*node.Node, horizon float64) RunReport {
 		rep.AvgEnergyJ = energySum / float64(len(nodes))
 		rep.AvgDuty = dutySum / float64(len(nodes))
 	}
-	sort.Slice(rep.Nodes, func(i, j int) bool { return rep.Nodes[i].ID < rep.Nodes[j].ID })
+	slices.SortFunc(rep.Nodes, func(a, b NodeReport) int { return cmp.Compare(a.ID, b.ID) })
 	return rep
 }
 

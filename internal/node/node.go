@@ -276,7 +276,7 @@ func (n *Node) StateResidency() [3]float64 {
 // --- sleep/wake ---
 
 // IsAwake reports whether the node is awake (false while sleeping or after
-// failure).
+// failure); every change is mirrored into the medium's listening bit.
 func (n *Node) IsAwake() bool { return n.awake && !n.failed }
 
 // Sleep puts the node to sleep for d seconds, after which it wakes and the
@@ -290,6 +290,7 @@ func (n *Node) Sleep(d float64) {
 		return
 	}
 	n.awake = false
+	n.medium.SetListening(n.id, false)
 	n.meter.SetMode(n.kernel.Now(), energy.ModeSleep)
 	n.rescheduleDeath()
 	n.wake.ResetArg(d, nodeWake, n)
@@ -301,6 +302,7 @@ func (n *Node) wakeUp() {
 		return
 	}
 	n.awake = true
+	n.medium.SetListening(n.id, true)
 	n.meter.SetMode(n.kernel.Now(), energy.ModeActive)
 	n.rescheduleDeath()
 	if n.senseNow() {
@@ -397,14 +399,8 @@ func (n *Node) DetectionDelay() (float64, bool) {
 
 // --- radio ---
 
-// Listening implements radio.Receiver.
-func (n *Node) Listening() bool { return n.IsAwake() }
-
-// Deliver implements radio.Receiver.
+// Deliver implements radio.Receiver; the medium delivers only while awake.
 func (n *Node) Deliver(from radio.NodeID, env radio.Envelope) {
-	if n.failed {
-		return
-	}
 	n.rxCount++
 	n.agent.OnMessage(n, from, env)
 }
@@ -483,6 +479,7 @@ func (n *Node) Fail() {
 		return
 	}
 	n.failed = true
+	n.medium.SetListening(n.id, false)
 	n.failedAt = n.kernel.Now()
 	n.wake.Stop()
 	n.death.Stop()
@@ -512,6 +509,7 @@ func (n *Node) Recover() {
 	n.downs = append(n.downs, Downtime{Start: n.failedAt, End: now})
 	n.failed = false
 	n.awake = true
+	n.medium.SetListening(n.id, true)
 	n.meter.Reopen(now, energy.ModeActive)
 	n.medium.MarkDeafUntil(n.id, now)
 	n.rescheduleDeath()

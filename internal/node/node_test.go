@@ -3,6 +3,7 @@ package node
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/deploy"
 	"repro/internal/diffusion"
@@ -51,6 +52,22 @@ func (a *scriptAgent) OnMessage(n *Node, from radio.NodeID, env radio.Envelope) 
 
 // ping is a 16-byte frame for hand-wired node tests.
 var ping = radio.Envelope{Kind: radio.KindBeacon, Wire: 16}
+
+// probe is a bare radio endpoint that transmits on behalf of a test.
+type probe struct{}
+
+func (probe) Deliver(radio.NodeID, radio.Envelope) {}
+
+// hears broadcasts a ping from the probe registered as from and runs the
+// kernel to its delivery instant, reporting whether the medium delivered it
+// (rather than dropping it at a receiver that is not listening). The probe
+// must have exactly one neighbour, the node under test.
+func hears(k *sim.Kernel, m *radio.Medium, from radio.NodeID) bool {
+	before := m.Stats().Delivered
+	m.Broadcast(from, ping)
+	k.RunUntil(k.Now() + m.TxTime(ping))
+	return m.Stats().Delivered > before
+}
 
 // testRig builds a kernel + medium + stimulus for hand-wired node tests.
 func testRig(stim diffusion.Stimulus) (*sim.Kernel, *radio.Medium) {
@@ -224,6 +241,7 @@ func TestFailure(t *testing.T) {
 	k, m := testRig(stim)
 	a := &scriptAgent{}
 	n := newNode(k, m, 0, geom.V(20, 50), stim, a) // arrival t=20
+	m.AddNode(1, geom.V(25, 50), probe{}, nil)
 	n.FailAt(5)
 	n.Start()
 	k.RunUntil(40)
@@ -233,7 +251,7 @@ func TestFailure(t *testing.T) {
 	if a.detects != 0 {
 		t.Error("failed node detected the stimulus")
 	}
-	if n.Listening() {
+	if hears(k, m, 1) {
 		t.Error("failed node still listening")
 	}
 	// Meter stopped at failure: only 5 s of active time.
@@ -308,6 +326,45 @@ func TestSleepWhileAsleepIgnored(t *testing.T) {
 	k.RunUntil(20)
 	if !n.IsAwake() {
 		t.Error("node never woke")
+	}
+}
+
+// TestQuickMediumListeningFollowsIsAwake drives random sleep, wake, fail
+// and recover sequences on one node and requires the medium's listening bit,
+// read as whether a neighbour's broadcast is delivered, to equal IsAwake()
+// after every step.
+func TestQuickMediumListeningFollowsIsAwake(t *testing.T) {
+	f := func(steps []uint8) bool {
+		stim := diffusion.NewRadialFront(geom.V(0, 0), 0.001, 0) // never arrives
+		k, m := testRig(stim)
+		n := newNode(k, m, 0, geom.V(50, 50), stim, &scriptAgent{})
+		m.AddNode(1, geom.V(55, 50), probe{}, nil)
+		n.Start()
+		if !hears(k, m, 1) {
+			return false // a fresh node listens
+		}
+		for i, s := range steps {
+			switch s % 5 {
+			case 0:
+				n.Sleep(0.5)
+			case 1:
+				n.Sleep(1e6) // outlasts the run
+			case 2:
+				k.RunUntil(k.Now() + 1) // fires a short sleep's wake-up
+			case 3:
+				n.Fail()
+			case 4:
+				n.Recover()
+			}
+			if hears(k, m, 1) != n.IsAwake() {
+				t.Logf("steps %v: medium bit diverged from IsAwake() = %v at step %d", steps, n.IsAwake(), i)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

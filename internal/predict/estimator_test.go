@@ -307,3 +307,93 @@ func TestQuickMinETALowerBoundsMean(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// arrivalETAReference is ArrivalETA as it read when it took cos θ from
+// geom.Vec2.CosBetween: four math.Hypot calls per report, two of them
+// repeats of |v_I| and |I→X| inside the cosine.
+func arrivalETAReference(x geom.Vec2, now float64, r Report) float64 {
+	if !r.HasVelocity {
+		return math.Inf(1)
+	}
+	speed := r.Velocity.Norm()
+	if speed <= 0 {
+		return math.Inf(1)
+	}
+	ix := x.Sub(r.Pos)
+	dist := ix.Norm()
+	var travel float64
+	if r.HasDirection {
+		cos := cosBetweenReference(r.Velocity, ix)
+		if dist > 0 && cos <= 0 {
+			return math.Inf(1)
+		}
+		travel = dist * cos / speed
+	} else {
+		travel = dist / speed
+	}
+	var ref float64
+	switch {
+	case r.Detected:
+		ref = r.DetectedAt
+	case !math.IsInf(r.PredictedArrival, 1) && !math.IsNaN(r.PredictedArrival):
+		ref = r.PredictedArrival
+	default:
+		return math.Inf(1)
+	}
+	eta := ref - now + travel
+	if eta < 0 {
+		return 0
+	}
+	return eta
+}
+
+// cosBetweenReference is the deleted geom.Vec2.CosBetween: cos of the
+// included angle, clamped to [-1, 1], and 0 when either vector is zero.
+func cosBetweenReference(v, w geom.Vec2) float64 {
+	nv, nw := v.Norm(), w.Norm()
+	if nv == 0 || nw == 0 {
+		return 0
+	}
+	c := v.Dot(w) / (nv * nw)
+	if c > 1 {
+		c = 1
+	} else if c < -1 {
+		c = -1
+	}
+	return c
+}
+
+// FuzzArrivalETAMatchesReference holds ArrivalETA, which takes each norm
+// once, to the four-Hypot formula bit for bit.
+func FuzzArrivalETAMatchesReference(f *testing.F) {
+	// x, pos, velocity, now, detectedAt, predictedArrival, flags (bit 0
+	// HasVelocity, bit 1 HasDirection, bit 2 Detected).
+	f.Add(10.0, 0.0, 0.0, 0.0, 1.0, 0.0, 5.0, 2.0, 0.0, uint8(7))                // covered, straight ahead
+	f.Add(3.0, 4.0, 3.0, 4.0, 0.5, 0.5, 1.0, 0.0, 0.0, uint8(7))                 // zero distance
+	f.Add(18.0, 28.200000000000003, 0.0, 0.0, 6.0, 9.4, 0.0, 0.0, 0.0, uint8(7)) // cosine rounds above 1
+	f.Add(-33.6, -55.2, 0.0, 0.0, 4.2, 6.9, 0.0, 0.0, 0.0, uint8(7))             // cosine rounds below -1
+	f.Add(0.0, 10.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, uint8(7))                // perpendicular
+	f.Add(20.0, 5.0, 1.0, 2.0, 0.3, 0.0, 4.0, 0.0, 9.0, uint8(1))                // speed only, alert
+	f.Add(20.0, 5.0, 1.0, 2.0, 0.3, 0.0, 4.0, 0.0, math.Inf(1), uint8(3))        // no reference time
+	f.Add(20.0, 5.0, 1.0, 2.0, 0.0, 0.0, 4.0, 0.0, 9.0, uint8(3))                // zero speed
+	f.Add(20.0, 5.0, 1.0, 2.0, 1.0, 1.0, 4.0, 0.0, 9.0, uint8(0))                // no velocity
+	f.Add(1e308, 1e308, -1e308, -1e308, 1e308, 1e308, 0.0, 0.0, 0.0, uint8(7))   // overflow
+	f.Fuzz(func(t *testing.T, xx, xy, px, py, vx, vy, now, detectedAt, predicted float64, flags uint8) {
+		x := geom.V(xx, xy)
+		r := Report{
+			ID:               1,
+			Pos:              geom.V(px, py),
+			Velocity:         geom.V(vx, vy),
+			HasVelocity:      flags&1 != 0,
+			HasDirection:     flags&2 != 0,
+			Detected:         flags&4 != 0,
+			DetectedAt:       detectedAt,
+			PredictedArrival: predicted,
+		}
+		got, want := ArrivalETA(x, now, r), arrivalETAReference(x, now, r)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("ArrivalETA(%v, %v, %+v) = %v (%#x), reference %v (%#x)",
+				x, now, r, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
+}

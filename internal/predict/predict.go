@@ -12,9 +12,9 @@
 package predict
 
 import (
-	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/node"
@@ -46,10 +46,11 @@ type Report struct {
 type Table []Report
 
 // Put records r, replacing the report of the same neighbour if the table
-// holds one.
+// holds one. The binary search reads the IDs in place: a comparator taking
+// each Report by value would copy it on every probe.
 func (t *Table) Put(r Report) {
-	i, found := slices.BinarySearchFunc(*t, r.ID, func(e Report, id radio.NodeID) int { return cmp.Compare(e.ID, id) })
-	if found {
+	i := sort.Search(len(*t), func(k int) bool { return (*t)[k].ID >= r.ID })
+	if i < len(*t) && (*t)[i].ID == r.ID {
 		(*t)[i] = r
 		return
 	}
@@ -88,7 +89,8 @@ func ActualVelocity(x geom.Vec2, xDetectedAt float64, reports []Report, minDt fl
 	}
 	var sum geom.Vec2
 	n := 0
-	for _, r := range reports {
+	for i := range reports {
+		r := &reports[i] // a range value would copy the 88-byte report
 		if !r.Detected || r.State != node.StateCovered {
 			continue
 		}
@@ -113,7 +115,8 @@ func ActualVelocity(x geom.Vec2, xDetectedAt float64, reports []Report, minDt fl
 func ExpectedVelocity(reports []Report) (geom.Vec2, bool) {
 	var sum geom.Vec2
 	n := 0
-	for _, r := range reports {
+	for i := range reports {
+		r := &reports[i] // a range value would copy the 88-byte report
 		if !r.HasVelocity || !r.HasDirection {
 			continue
 		}
@@ -156,7 +159,10 @@ func ArrivalETA(x geom.Vec2, now float64, r Report) float64 {
 	dist := ix.Norm()
 	var travel float64
 	if r.HasDirection {
-		cos := r.Velocity.CosBetween(ix)
+		var cos float64 // a zero distance has no angle: perpendicular
+		if dist != 0 {
+			cos = geom.Clamp(r.Velocity.Dot(ix)/(speed*dist), -1, 1)
+		}
 		if dist > 0 && cos <= 0 {
 			return math.Inf(1)
 		}

@@ -17,11 +17,9 @@ import (
 
 // countSink is an allocation-free receiver.
 type countSink struct {
-	listening bool
 	delivered int
 }
 
-func (s *countSink) Listening() bool          { return s.listening }
 func (s *countSink) Deliver(NodeID, Envelope) { s.delivered++ }
 
 // broadcastRig wires a sender with a ring of in-range listeners, all metered.
@@ -37,7 +35,7 @@ func broadcastRig() (*sim.Kernel, *Medium, []*countSink) {
 		geom.V(57, 57), geom.V(43, 43), geom.V(57, 43), geom.V(43, 57),
 	}
 	for i, pos := range positions {
-		s := &countSink{listening: true}
+		s := &countSink{}
 		sinks = append(sinks, s)
 		m.AddNode(NodeID(i), pos, s, energy.NewMeter(energy.Telos(), 0, energy.ModeActive))
 	}
@@ -90,7 +88,7 @@ func TestDeliveryPoolRecyclesAcrossNestedBroadcasts(t *testing.T) {
 	m := NewMedium(k, geom.R(0, 0, 100, 100), energy.Telos(), UnitDisk{Range: 15}, st)
 	var echoed bool
 	echo := &echoSink{m: m, echoedFlag: &echoed}
-	quiet := &countSink{listening: true}
+	quiet := &countSink{}
 	m.AddNode(0, geom.V(50, 50), quiet, nil)
 	m.AddNode(1, geom.V(55, 50), echo, nil)
 	m.Broadcast(0, Envelope{Kind: KindRequest, Wire: 12})
@@ -113,7 +111,6 @@ type echoSink struct {
 	echoedFlag *bool
 }
 
-func (e *echoSink) Listening() bool { return true }
 func (e *echoSink) Deliver(from NodeID, env Envelope) {
 	if env.Kind == KindRequest && !*e.echoedFlag {
 		*e.echoedFlag = true
@@ -129,7 +126,6 @@ type replySink struct {
 	id NodeID
 }
 
-func (r *replySink) Listening() bool { return true }
 func (r *replySink) Deliver(_ NodeID, env Envelope) {
 	if env.Kind == KindRequest {
 		r.m.Broadcast(r.id, Envelope{Kind: KindResponse, Wire: 62})
@@ -145,7 +141,7 @@ func TestBroadcastDeliverZeroAllocsNestedRebroadcast(t *testing.T) {
 	k := sim.NewKernel()
 	st := rng.NewSource(1).Stream("channel")
 	m := NewMedium(k, geom.R(0, 0, 100, 100), energy.Telos(), UnitDisk{Range: 15}, st)
-	quiet := &countSink{listening: true}
+	quiet := &countSink{}
 	m.AddNode(0, geom.V(50, 50), quiet, energy.NewMeter(energy.Telos(), 0, energy.ModeActive))
 	for i := 1; i <= 4; i++ {
 		r := &replySink{m: m, id: NodeID(i)}

@@ -15,8 +15,8 @@ import (
 
 func TestDeafWindowDropsInFlightDelivery(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
 	m.Broadcast(0, testEnv(32)) // on air at t=0, delivers at ~1.024 ms
 	// The receiver reboots mid-flight: listening, but deaf to this preamble.
@@ -40,8 +40,8 @@ func TestDeafWindowBoundaryIsInclusiveOfRestart(t *testing.T) {
 	// A transmission whose preamble starts exactly at the reboot instant is
 	// received: the node is back up when the preamble begins.
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
 	m.MarkDeafUntil(1, 0.001)
 	k.Schedule(0.001, func(*sim.Kernel) { m.Broadcast(0, testEnv(32)) })
@@ -53,8 +53,8 @@ func TestDeafWindowBoundaryIsInclusiveOfRestart(t *testing.T) {
 
 func TestMarkDeafUntilMonotonicAndTopologyPreserving(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
 	topo := m.Topology() // freezes
 	// An earlier MarkDeafUntil never rolls back a later one.

@@ -35,11 +35,16 @@
 // runs sharing one deployment share one compilation. Invalidation rule:
 // AddNode after the freeze drops the compiled topology and the next
 // broadcast recompiles over the enlarged registry.
+//
+// Endpoints live in one table indexed by NodeID, and node i is topology row
+// i. Whether a node can receive is a bit its owner pushes with SetListening
+// whenever the node sleeps, wakes, fails or recovers, so a fan-out target
+// that is asleep, the commonest outcome of a broadcast, costs one load.
 package radio
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/geom"
@@ -47,15 +52,14 @@ import (
 	"repro/internal/sim"
 )
 
-// NodeID identifies a node on the medium. IDs are small dense integers
-// assigned by the deployment.
+// NodeID identifies a node on the medium. IDs are dense non-negative
+// integers assigned by the deployment (0..n-1): the medium indexes its
+// endpoint table and the topology rows by them.
 type NodeID int
 
-// Receiver is the delivery interface a node exposes to the medium.
+// Receiver is the delivery interface a node exposes to the medium; whether
+// it can receive is pushed by its owner (Medium.SetListening).
 type Receiver interface {
-	// Listening reports whether the transceiver can currently receive
-	// (false while the node sleeps or has failed).
-	Listening() bool
 	// Deliver hands over a successfully received message envelope.
 	Deliver(from NodeID, env Envelope)
 }
@@ -157,7 +161,8 @@ type endpoint struct {
 	pos      geom.Vec2
 	receiver Receiver
 	meter    *energy.Meter
-	idx      int // dense index in ids/eps while a topology is compiled
+	// listening is false while the node sleeps or has failed (SetListening).
+	listening bool
 	// Collision bookkeeping. busyUntil is the end of the latest reception in
 	// flight; corruptUntil marks the window in which every reception has
 	// been destroyed by an overlap.
@@ -188,13 +193,10 @@ type Medium struct {
 	stream     *rng.Stream
 	collisions bool
 
-	endpoints map[NodeID]*endpoint
-	slab      []endpoint // bulk endpoint storage (Reserve), never reallocated
-	positions []geom.Vec2
-	ids       []NodeID
-	eps       []*endpoint // dense endpoints aligned with ids/positions
-	bounds    geom.Rect
-	stats     Stats
+	byID   []*endpoint // endpoint table indexed by NodeID; nil = unregistered
+	slab   []endpoint  // bulk endpoint storage (Reserve), never reallocated
+	bounds geom.Rect
+	stats  Stats
 
 	topo   *Topology // frozen CSR connectivity; nil until first use or after AddNode
 	preset *Topology // injected precompiled topology (SetTopology), adopted at freeze
@@ -248,12 +250,11 @@ func NewMedium(k *sim.Kernel, bounds geom.Rect, profile energy.Profile, loss Los
 		panic(fmt.Sprintf("radio: invalid profile: %v", err))
 	}
 	m := &Medium{
-		kernel:    k,
-		profile:   profile,
-		loss:      loss,
-		stream:    stream,
-		endpoints: make(map[NodeID]*endpoint),
-		bounds:    bounds,
+		kernel:  k,
+		profile: profile,
+		loss:    loss,
+		stream:  stream,
+		bounds:  bounds,
 	}
 	// One dispatch closure for the lifetime of the medium; every broadcast
 	// reuses it with its pooled record as the event arg.
@@ -305,18 +306,26 @@ func (m *Medium) channelBusyAt(pos geom.Vec2, now float64) bool {
 }
 
 // Reserve pre-sizes the registry for n upcoming AddNode calls: the endpoint
-// map is allocated at its final size and the per-node records come from one
+// table is allocated for IDs 0..n-1 and the per-node records come from one
 // slab, so bulk network construction performs O(1) allocations here instead
 // of O(n). Call before the first AddNode; reserving mid-registration only
 // covers the nodes that still fit the slab (the rest fall back to individual
 // allocations, which is correct, just slower).
 func (m *Medium) Reserve(n int) {
-	if len(m.endpoints) == 0 {
-		m.endpoints = make(map[NodeID]*endpoint, n)
+	if m.byID == nil {
+		m.byID = make([]*endpoint, 0, n)
 	}
 	if m.slab == nil {
 		m.slab = make([]endpoint, 0, n)
 	}
+}
+
+// lookup returns node id's endpoint, or nil when id is not registered here.
+func (m *Medium) lookup(id NodeID) *endpoint {
+	if uint(id) < uint(len(m.byID)) {
+		return m.byID[id]
+	}
+	return nil
 }
 
 // SetTopology injects a precompiled connectivity graph, sparing the medium
@@ -336,12 +345,20 @@ func (m *Medium) SetTopology(t *Topology) {
 	m.topo = nil
 }
 
-// AddNode registers a node at a fixed position. The meter may be nil for
-// unmetered observers. Adding a duplicate ID panics — deployments assign
-// unique dense IDs. Adding a node after the topology froze (first broadcast)
-// invalidates it; the next broadcast recompiles over the enlarged registry.
+// AddNode registers a node at a fixed position; it starts out listening. The
+// meter may be nil for unmetered observers. A negative or duplicate ID panics
+// — deployments assign unique dense IDs, and the endpoint table grows to the
+// largest one; a gap in the IDs panics at the freeze. Adding a node after the
+// topology froze (first broadcast) invalidates it; the next broadcast
+// recompiles over the enlarged registry.
 func (m *Medium) AddNode(id NodeID, pos geom.Vec2, r Receiver, meter *energy.Meter) {
-	if _, dup := m.endpoints[id]; dup {
+	if id < 0 {
+		panic(fmt.Sprintf("radio: negative node ID %d", id))
+	}
+	if m.shard != nil && int(id) >= len(m.byID) {
+		panic(fmt.Sprintf("radio: node %d outside the sharded topology (%d nodes)", id, len(m.byID)))
+	}
+	if m.lookup(id) != nil {
 		panic(fmt.Sprintf("radio: duplicate node %d", id))
 	}
 	var ep *endpoint
@@ -351,49 +368,41 @@ func (m *Medium) AddNode(id NodeID, pos geom.Vec2, r Receiver, meter *energy.Met
 	} else {
 		ep = &endpoint{}
 	}
-	*ep = endpoint{id: id, pos: pos, receiver: r, meter: meter}
-	m.endpoints[id] = ep
-	if m.shard != nil {
-		// Sharded media are built over a pre-frozen global topology: the
-		// node's dense index is its ID (the builder registers dense IDs in
-		// order) and the topology must never be invalidated or recompiled.
-		if int(id) >= len(m.shard.localEp) {
-			panic(fmt.Sprintf("radio: node %d outside the sharded topology (%d nodes)", id, len(m.shard.localEp)))
-		}
-		ep.idx = int(id)
-		m.shard.localEp[id] = ep
-		return
+	*ep = endpoint{id: id, pos: pos, receiver: r, meter: meter, listening: true}
+	for int(id) >= len(m.byID) {
+		m.byID = append(m.byID, nil)
 	}
-	m.topo = nil // invalidate the frozen topology
+	m.byID[id] = ep
+	if m.shard == nil { // a sharded medium's global topology never recompiles
+		m.topo = nil // invalidate the frozen topology
+	}
 }
 
+// SetListening records whether registered node id's transceiver can
+// receive: false while it sleeps or has failed. The node's owner calls it at
+// every such change; delivery and the CSMA retry read the bit when they
+// happen.
+func (m *Medium) SetListening(id NodeID, on bool) { m.byID[id].listening = on }
+
 // freeze compiles the registered node set into the CSR topology the
-// broadcast path walks. The id/position/endpoint slices are reused across
-// freezes so re-freezing after a late AddNode allocates only what the
-// topology compilation itself needs. An injected preset (SetTopology) is
-// adopted instead of compiling when its node count and range still match.
+// broadcast path walks, row i for node i. An injected preset (SetTopology)
+// is adopted instead of compiling when its node count and range still match.
 func (m *Medium) freeze() {
 	if m.shard != nil {
 		panic("radio: sharded medium must not recompile its topology")
 	}
-	m.ids = m.ids[:0]
-	for id := range m.endpoints {
-		m.ids = append(m.ids, id)
+	if gap := slices.Index(m.byID, nil); gap >= 0 {
+		panic(fmt.Sprintf("radio: node IDs must be dense, but node %d of 0..%d is not registered", gap, len(m.byID)-1))
 	}
-	sort.Slice(m.ids, func(i, j int) bool { return m.ids[i] < m.ids[j] })
-	m.positions = m.positions[:0]
-	m.eps = m.eps[:0]
-	for i, id := range m.ids {
-		ep := m.endpoints[id]
-		ep.idx = i
-		m.positions = append(m.positions, ep.pos)
-		m.eps = append(m.eps, ep)
-	}
-	if m.preset != nil && m.preset.n == len(m.ids) && m.preset.maxRange == m.loss.MaxRange() {
+	if m.preset != nil && m.preset.n == len(m.byID) && m.preset.maxRange == m.loss.MaxRange() {
 		m.topo = m.preset
 		return
 	}
-	m.topo = CompileTopology(m.bounds, m.positions, m.loss.MaxRange())
+	positions := make([]geom.Vec2, len(m.byID))
+	for i, ep := range m.byID {
+		positions[i] = ep.pos
+	}
+	m.topo = CompileTopology(m.bounds, positions, m.loss.MaxRange())
 }
 
 // Topology returns the frozen connectivity, compiling it if registration
@@ -410,23 +419,13 @@ func (m *Medium) Topology() *Topology {
 // order. Protocols do not call this — they discover neighbours with
 // REQUEST/RESPONSE traffic — but deployment validation and tests do.
 func (m *Medium) NeighborIDs(id NodeID) []NodeID {
-	ep, ok := m.endpoints[id]
-	if !ok {
+	if m.lookup(id) == nil {
 		return nil
 	}
-	if m.topo == nil {
-		m.freeze()
-	}
-	row, _ := m.topo.Row(ep.idx)
+	row, _ := m.Topology().Row(int(id))
 	var out []NodeID
 	for _, j := range row {
-		if m.shard != nil {
-			// Sharded media index the global topology directly: dense index
-			// and node ID coincide by the builder contract.
-			out = append(out, NodeID(j))
-			continue
-		}
-		out = append(out, m.ids[j])
+		out = append(out, NodeID(j))
 	}
 	return out
 }
@@ -444,6 +443,21 @@ func (m *Medium) newDelivery() *delivery {
 		return d
 	}
 	return &delivery{}
+}
+
+// transmit counts and charges one transmission of env by sender and returns
+// its fan-out record, due one transmission time from now.
+func (m *Medium) transmit(sender *endpoint, env Envelope) *delivery {
+	m.stats.Broadcasts++
+	m.stats.BytesSent += env.Size()
+	if sender.meter != nil {
+		sender.meter.ChargeTxBytes(env.Size())
+	}
+	d := m.newDelivery()
+	d.from, d.env = sender.id, env
+	d.txTime = m.profile.TxTime(env.Size())
+	d.end = m.kernel.Now() + d.txTime
+	return d
 }
 
 // freeDelivery recycles a record; the target slice keeps its capacity.
@@ -470,47 +484,36 @@ func (m *Medium) freeDelivery(d *delivery) {
 // distances a live spatial-hash query would derive — only the O(buckets)
 // window scan, the distance recomputation and the candidate sort are gone.
 func (m *Medium) Broadcast(from NodeID, env Envelope) {
-	if m.shard != nil {
-		m.broadcastSharded(from, env)
-		return
+	sender := m.lookup(from)
+	if sender == nil {
+		panic(fmt.Sprintf("radio: broadcast from node %d, which is not registered on this medium", from))
 	}
-	sender, ok := m.endpoints[from]
-	if !ok {
-		panic(fmt.Sprintf("radio: broadcast from unregistered node %d", from))
+	if m.shard != nil {
+		m.broadcastSharded(sender, env)
+		return
 	}
 	if m.topo == nil {
 		m.freeze()
 	}
-	if m.csma != nil && m.channelBusyAt(sender.pos, m.kernel.Now()) {
+	now := m.kernel.Now()
+	if m.csma != nil && m.channelBusyAt(sender.pos, now) {
 		m.deferBroadcast(from, env, 1)
 		return
 	}
-	m.stats.Broadcasts++
-	m.stats.BytesSent += env.Size()
-	if sender.meter != nil {
-		sender.meter.ChargeTxBytes(env.Size())
-	}
-	txTime := m.profile.TxTime(env.Size())
-	now := m.kernel.Now()
-	end := now + txTime
+	d := m.transmit(sender, env)
+	end := d.end
 	if m.csma != nil {
 		m.inFlight = append(m.inFlight, flight{pos: sender.pos, end: end})
 	}
 
-	d := m.newDelivery()
-	d.from = from
-	d.env = env
-	d.txTime = txTime
-	d.end = end
-
-	row, dists := m.topo.Row(sender.idx)
+	row, dists := m.topo.Row(int(from))
 	if cap(d.targets) < len(row) {
 		// The row length bounds the fan-out exactly, so one right-sized
 		// allocation per pooled record replaces the append growth chain.
 		d.targets = make([]*endpoint, 0, len(row))
 	}
 	for k, j := range row {
-		target := m.eps[j]
+		target := m.byID[j]
 		if !m.loss.Delivers(dists[k], m.stream) {
 			m.stats.DroppedLoss++
 			continue
@@ -553,13 +556,13 @@ func (m *Medium) runDelivery(d *delivery) {
 			// with the fan-out's fragments on other shards. They act for
 			// the receiver, so they carry its hop class.
 			m.kernel.SetFanKey(int(d.rowPos[i]))
-			m.kernel.SetClass(m.shard.class[target.idx])
+			m.kernel.SetClass(m.shard.class[target.id])
 		}
 		if m.collisions && d.end <= target.corruptUntil+1e-12 {
 			m.stats.DroppedCollision++
 			continue
 		}
-		if !target.receiver.Listening() {
+		if !target.listening {
 			m.stats.DroppedSleeping++
 			continue
 		}
@@ -589,9 +592,9 @@ func (m *Medium) deferBroadcast(from NodeID, env Envelope, attempt int) {
 	}
 	m.stats.CSMADeferred++
 	backoff := m.stream.Uniform(m.csma.MinBackoff, m.csma.MaxBackoff)
-	sender := m.endpoints[from]
+	sender := m.byID[from]
 	m.kernel.Schedule(backoff, func(*sim.Kernel) {
-		if !sender.receiver.Listening() {
+		if !sender.listening {
 			m.stats.CSMAGaveUp++ // sender slept or died while deferring
 			return
 		}
@@ -607,7 +610,7 @@ func (m *Medium) deferBroadcast(from NodeID, env Envelope, attempt int) {
 // that started before t (it rebooted at t). In-flight deliveries targeting
 // it are dropped at delivery time; the frozen topology is untouched.
 func (m *Medium) MarkDeafUntil(id NodeID, t float64) {
-	if ep, ok := m.endpoints[id]; ok && t > ep.deafUntil {
+	if ep := m.lookup(id); ep != nil && t > ep.deafUntil {
 		ep.deafUntil = t
 	}
 }
@@ -615,13 +618,10 @@ func (m *Medium) MarkDeafUntil(id NodeID, t float64) {
 // Stats returns a copy of the medium's counters.
 func (m *Medium) Stats() Stats { return m.stats }
 
-// NodeCount returns the number of registered nodes.
-func (m *Medium) NodeCount() int { return len(m.endpoints) }
-
 // Position returns the registered position of a node.
 func (m *Medium) Position(id NodeID) (geom.Vec2, bool) {
-	ep, ok := m.endpoints[id]
-	if !ok {
+	ep := m.lookup(id)
+	if ep == nil {
 		return geom.Vec2{}, false
 	}
 	return ep.pos, true

@@ -14,10 +14,9 @@ import (
 // testEnv is a fixed-size frame for channel tests.
 func testEnv(size int) Envelope { return Envelope{Kind: KindBeacon, Wire: uint16(size)} }
 
-// sink records deliveries and lets tests control listening.
+// sink records deliveries; tests set its listening state on the medium.
 type sink struct {
-	listening bool
-	got       []struct {
+	got []struct {
 		from NodeID
 		env  Envelope
 		at   float64
@@ -25,7 +24,6 @@ type sink struct {
 	k *sim.Kernel
 }
 
-func (s *sink) Listening() bool { return s.listening }
 func (s *sink) Deliver(from NodeID, env Envelope) {
 	s.got = append(s.got, struct {
 		from NodeID
@@ -44,9 +42,9 @@ func newTestMedium(t *testing.T, loss LossModel) (*sim.Kernel, *Medium) {
 
 func TestUnitDiskDelivery(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
-	near := &sink{listening: true, k: k}
-	far := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(50, 50), &sink{listening: true, k: k}, nil)
+	near := &sink{k: k}
+	far := &sink{k: k}
+	m.AddNode(0, geom.V(50, 50), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(55, 50), near, nil) // 5 m away
 	m.AddNode(2, geom.V(80, 50), far, nil)  // 30 m away
 	m.Broadcast(0, testEnv(32))
@@ -74,9 +72,10 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSleepingReceiverDrops(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
-	rx := &sink{listening: false, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
+	m.SetListening(1, false)
 	m.Broadcast(0, testEnv(16))
 	k.Run()
 	if len(rx.got) != 0 {
@@ -91,11 +90,12 @@ func TestListeningCheckedAtDeliveryTime(t *testing.T) {
 	// A receiver that wakes up during the transmission still gets it; one
 	// that sleeps before delivery completes loses it.
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
-	rx := &sink{listening: false, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(5, 0), rx, nil)
+	m.SetListening(1, false)
 	m.Broadcast(0, testEnv(32)) // delivery at ~1.024 ms
-	k.Schedule(0.0005, func(*sim.Kernel) { rx.listening = true })
+	k.Schedule(0.0005, func(*sim.Kernel) { m.SetListening(1, true) })
 	k.Run()
 	if len(rx.got) != 1 {
 		t.Error("receiver that woke during tx missed the message")
@@ -110,8 +110,8 @@ func TestEnergyCharging(t *testing.T) {
 	m := NewMedium(k, geom.R(0, 0, 100, 100), prof, UnitDisk{Range: 10}, st)
 	txm := energy.NewMeter(prof, 0, energy.ModeActive)
 	rxm := energy.NewMeter(prof, 0, energy.ModeActive)
-	tx := &sink{listening: true, k: k}
-	rx := &sink{listening: true, k: k}
+	tx := &sink{k: k}
+	rx := &sink{k: k}
 	m.AddNode(0, geom.V(0, 0), tx, txm)
 	m.AddNode(1, geom.V(5, 0), rx, rxm)
 	m.Broadcast(0, testEnv(100))
@@ -177,10 +177,10 @@ func TestDistanceFalloff(t *testing.T) {
 func TestCollisions(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 20})
 	m.EnableCollisions()
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
-	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
+	m.AddNode(2, geom.V(20, 0), &sink{k: k}, nil)
 	// Two simultaneous transmissions overlap at node 1: both destroyed.
 	m.Broadcast(0, testEnv(32))
 	m.Broadcast(2, testEnv(32))
@@ -196,10 +196,10 @@ func TestCollisions(t *testing.T) {
 func TestNoCollisionWhenSpaced(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 20})
 	m.EnableCollisions()
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
-	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
+	m.AddNode(2, geom.V(20, 0), &sink{k: k}, nil)
 	m.Broadcast(0, testEnv(32))
 	// Second transmission starts after the first completes.
 	k.Schedule(0.01, func(*sim.Kernel) { m.Broadcast(2, testEnv(32)) })
@@ -214,10 +214,10 @@ func TestNoCollisionWhenSpaced(t *testing.T) {
 
 func TestCollisionsDisabledByDefault(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 20})
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
-	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
+	m.AddNode(2, geom.V(20, 0), &sink{k: k}, nil)
 	m.Broadcast(0, testEnv(32))
 	m.Broadcast(2, testEnv(32))
 	k.Run()
@@ -229,7 +229,7 @@ func TestCollisionsDisabledByDefault(t *testing.T) {
 func TestNeighborIDs(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
 	for i, p := range []geom.Vec2{geom.V(0, 0), geom.V(5, 0), geom.V(9, 0), geom.V(30, 0)} {
-		m.AddNode(NodeID(i), p, &sink{listening: true, k: k}, nil)
+		m.AddNode(NodeID(i), p, &sink{k: k}, nil)
 	}
 	got := m.NeighborIDs(0)
 	want := []NodeID{1, 2}
@@ -248,11 +248,11 @@ func TestNeighborIDs(t *testing.T) {
 
 func TestPositionAndCount(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
-	m.AddNode(7, geom.V(3, 4), &sink{listening: true, k: k}, nil)
-	if m.NodeCount() != 1 {
+	m.AddNode(0, geom.V(3, 4), &sink{k: k}, nil)
+	if m.Topology().NodeCount() != 1 {
 		t.Error("NodeCount wrong")
 	}
-	p, ok := m.Position(7)
+	p, ok := m.Position(0)
 	if !ok || p != geom.V(3, 4) {
 		t.Errorf("Position = %v,%v", p, ok)
 	}
@@ -289,16 +289,30 @@ func TestMediumPanics(t *testing.T) {
 		m := NewMedium(k, geom.R(0, 0, 1, 1), energy.Telos(), UnitDisk{Range: 1}, st)
 		m.Broadcast(5, testEnv(1))
 	})
+	mustPanic("negative id", func() {
+		m := NewMedium(k, geom.R(0, 0, 1, 1), energy.Telos(), UnitDisk{Range: 1}, st)
+		m.AddNode(-1, geom.Zero, &sink{}, nil)
+	})
+	mustPanic("listening state of an unregistered node", func() {
+		m := NewMedium(k, geom.R(0, 0, 1, 1), energy.Telos(), UnitDisk{Range: 1}, st)
+		m.AddNode(0, geom.Zero, &sink{}, nil)
+		m.SetListening(1, false)
+	})
+	mustPanic("gap in the IDs", func() {
+		m := NewMedium(k, geom.R(0, 0, 1, 1), energy.Telos(), UnitDisk{Range: 1}, st)
+		m.AddNode(1, geom.Zero, &sink{}, nil)
+		m.Broadcast(1, testEnv(1))
+	})
 }
 
 func TestBroadcastAfterLateAdd(t *testing.T) {
 	// The spatial index must refresh when nodes are added after a broadcast.
 	k, m := newTestMedium(t, UnitDisk{Range: 10})
-	a := &sink{listening: true, k: k}
+	a := &sink{k: k}
 	m.AddNode(0, geom.V(0, 0), a, nil)
 	m.Broadcast(0, testEnv(8))
 	k.Run()
-	b := &sink{listening: true, k: k}
+	b := &sink{k: k}
 	m.AddNode(1, geom.V(5, 0), b, nil)
 	m.Broadcast(0, testEnv(8))
 	k.Run()
@@ -330,8 +344,9 @@ func TestQuickDeliveryCountsConsistent(t *testing.T) {
 		m := NewMedium(k, geom.R(0, 0, 300, 300), energy.Telos(), loss, st)
 		sinks := make([]*sink, 6)
 		for i := 0; i < 6; i++ {
-			sinks[i] = &sink{listening: asleepMask&(1<<i) == 0, k: k}
+			sinks[i] = &sink{k: k}
 			m.AddNode(NodeID(i), geom.V(float64(positions[i]%200), 0), sinks[i], nil)
+			m.SetListening(NodeID(i), asleepMask&(1<<i) == 0)
 		}
 		inRange := len(m.NeighborIDs(0))
 		m.Broadcast(0, testEnv(16))
@@ -347,10 +362,10 @@ func TestQuickDeliveryCountsConsistent(t *testing.T) {
 func TestCSMADefersWhenBusy(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 20})
 	m.EnableCSMA(DefaultCSMA())
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
-	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
+	m.AddNode(2, geom.V(20, 0), &sink{k: k}, nil)
 	// Two back-to-back transmissions: the second senses the first and
 	// defers, so BOTH deliver (contrast with the collision test).
 	m.Broadcast(0, testEnv(64))
@@ -378,10 +393,10 @@ func TestCSMAPlusCollisionsAvoidsLoss(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 20})
 	m.EnableCollisions()
 	m.EnableCSMA(DefaultCSMA())
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
-	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
+	m.AddNode(2, geom.V(20, 0), &sink{k: k}, nil)
 	m.Broadcast(0, testEnv(64))
 	m.Broadcast(2, testEnv(64))
 	k.Run()
@@ -396,10 +411,10 @@ func TestCSMAPlusCollisionsAvoidsLoss(t *testing.T) {
 func TestCSMAGivesUpAfterMaxAttempts(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 20})
 	m.EnableCSMA(CSMAConfig{MinBackoff: 0.0001, MaxBackoff: 0.0002, MaxAttempts: 2})
-	rx := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
-	m.AddNode(2, geom.V(20, 0), &sink{listening: true, k: k}, nil)
+	m.AddNode(2, geom.V(20, 0), &sink{k: k}, nil)
 	// A huge frame occupies the channel far longer than 2 tiny backoffs.
 	m.Broadcast(0, testEnv(2000))
 	m.Broadcast(2, testEnv(16))
@@ -417,15 +432,15 @@ func TestCSMAGivesUpAfterMaxAttempts(t *testing.T) {
 func TestCSMASleepingSenderAbandons(t *testing.T) {
 	k, m := newTestMedium(t, UnitDisk{Range: 20})
 	m.EnableCSMA(DefaultCSMA())
-	rx := &sink{listening: true, k: k}
-	sleeper := &sink{listening: true, k: k}
-	m.AddNode(0, geom.V(0, 0), &sink{listening: true, k: k}, nil)
+	rx := &sink{k: k}
+	sleeper := &sink{k: k}
+	m.AddNode(0, geom.V(0, 0), &sink{k: k}, nil)
 	m.AddNode(1, geom.V(10, 0), rx, nil)
 	m.AddNode(2, geom.V(20, 0), sleeper, nil)
 	m.Broadcast(0, testEnv(500))
 	m.Broadcast(2, testEnv(16))
 	// The deferring sender falls asleep before its backoff expires.
-	sleeper.listening = false
+	m.SetListening(2, false)
 	k.Run()
 	if m.Stats().CSMAGaveUp == 0 {
 		t.Error("sleeping sender did not abandon its frame")

@@ -44,11 +44,6 @@ type shardLink struct {
 	self    int32
 	minWire int // smallest legal on-air size; the window-lookahead contract
 
-	// localEp maps a GLOBAL dense node index to the endpoint if it lives on
-	// this shard (nil otherwise). Node IDs are dense and registered in ID
-	// order, so the global dense index of node id is int(id).
-	localEp []*endpoint
-
 	// out stages this shard's outbound boundary deliveries, one bucket per
 	// destination shard, flushed at window barriers. bcastGen/outGen/outIdx
 	// dedupe the per-broadcast entry: all remote receivers of one broadcast
@@ -95,6 +90,9 @@ func NewShardedMedia(g *sim.ShardGroup, bounds geom.Rect, profile energy.Profile
 	for i := 0; i < s; i++ {
 		m := NewMedium(g.Shard(i), bounds, profile, loss, nil)
 		m.topo = topo
+		// The endpoint table spans every global ID; only this shard's nodes
+		// fill it.
+		m.byID = make([]*endpoint, topo.NodeCount())
 		m.shard = &shardLink{
 			group:   g,
 			media:   media,
@@ -102,7 +100,6 @@ func NewShardedMedia(g *sim.ShardGroup, bounds geom.Rect, profile energy.Profile
 			class:   class,
 			self:    int32(i),
 			minWire: minWire,
-			localEp: make([]*endpoint, topo.NodeCount()),
 			out:     make([][]boundary, s),
 			outGen:  make([]uint32, s),
 			outIdx:  make([]int32, s),
@@ -164,34 +161,18 @@ func (m *Medium) HopClass(id NodeID) uint16 {
 // sender's CSR row get the ordinary pooled fan-out event on this kernel; the
 // remote receivers are staged as per-destination boundary records stamped
 // with the fan-out's sequence reference.
-func (m *Medium) broadcastSharded(from NodeID, env Envelope) {
+func (m *Medium) broadcastSharded(sender *endpoint, env Envelope) {
 	sh := m.shard
-	sender := sh.localEp[int(from)]
-	if sender == nil {
-		panic(fmt.Sprintf("radio: broadcast from node %d not registered on shard %d", from, sh.self))
-	}
 	if env.Size() < sh.minWire {
 		panic(fmt.Sprintf("radio: %d-byte broadcast below the %d-byte window lookahead contract", env.Size(), sh.minWire))
 	}
-	m.stats.Broadcasts++
-	m.stats.BytesSent += env.Size()
-	if sender.meter != nil {
-		sender.meter.ChargeTxBytes(env.Size())
-	}
-	txTime := m.profile.TxTime(env.Size())
-	now := m.kernel.Now()
-	end := now + txTime
-
-	d := m.newDelivery()
-	d.from = from
-	d.env = env
-	d.txTime = txTime
-	d.end = end
+	d := m.transmit(sender, env)
+	from, txTime, end := sender.id, d.txTime, d.end
 
 	sh.bcastGen++
 	staged := false
 	cls := uint16(math.MaxUint16) // nearest local receiver's hop class
-	row, dists := m.topo.Row(sender.idx)
+	row, dists := m.topo.Row(int(from))
 	for k, j := range row {
 		if !m.loss.Delivers(dists[k], m.stream) {
 			m.stats.DroppedLoss++
@@ -204,7 +185,7 @@ func (m *Medium) broadcastSharded(from NodeID, env Envelope) {
 			staged = true
 			continue
 		}
-		d.targets = append(d.targets, sh.localEp[j])
+		d.targets = append(d.targets, m.byID[j])
 		d.rowPos = append(d.rowPos, int32(k))
 		cls = min(cls, sh.class[j])
 	}
@@ -289,7 +270,7 @@ func (m *Medium) FlushBoundary() {
 			d.txTime = b.txTime
 			d.end = b.at
 			for _, j := range b.targets {
-				d.targets = append(d.targets, dm.shard.localEp[j])
+				d.targets = append(d.targets, dm.byID[j])
 			}
 			d.rowPos = append(d.rowPos, b.rowPos...)
 			dm.kernel.InjectArgAt(b.at, seq, dm.deliverFn, d)

@@ -30,7 +30,7 @@ func shardFixture(t *testing.T) (*sim.ShardGroup, []*Medium, []*sink) {
 	sinks := make([]*sink, len(positions))
 	for i, pos := range positions {
 		m := media[owner[i]]
-		sinks[i] = &sink{listening: true, k: m.kernel}
+		sinks[i] = &sink{k: m.kernel}
 		m.AddNode(NodeID(i), pos, sinks[i], nil)
 	}
 	return group, media, sinks
@@ -76,8 +76,8 @@ func TestShardedBroadcastAllRemote(t *testing.T) {
 	topo := CompileTopology(field, positions, 5)
 	group := sim.NewShardGroup(2)
 	media := NewShardedMedia(group, field, energy.Telos(), UnitDisk{Range: 5}, topo, []int32{0, 1}, 12)
-	rx := &sink{listening: true, k: media[1].kernel}
-	media[0].AddNode(0, positions[0], &sink{listening: true, k: media[0].kernel}, nil)
+	rx := &sink{k: media[1].kernel}
+	media[0].AddNode(0, positions[0], &sink{k: media[0].kernel}, nil)
 	media[1].AddNode(1, positions[1], rx, nil)
 
 	media[0].Broadcast(0, Envelope{Kind: KindRequest, Wire: 12})
@@ -96,8 +96,8 @@ func TestShardedBroadcastNoReceivers(t *testing.T) {
 	topo := CompileTopology(field, positions, 5)
 	group := sim.NewShardGroup(2)
 	media := NewShardedMedia(group, field, energy.Telos(), UnitDisk{Range: 5}, topo, []int32{0, 1}, 12)
-	media[0].AddNode(0, positions[0], &sink{listening: true, k: media[0].kernel}, nil)
-	media[1].AddNode(1, positions[1], &sink{listening: true, k: media[1].kernel}, nil)
+	media[0].AddNode(0, positions[0], &sink{k: media[0].kernel}, nil)
+	media[1].AddNode(1, positions[1], &sink{k: media[1].kernel}, nil)
 	media[0].Broadcast(0, Envelope{Kind: KindRequest, Wire: 12})
 	if p := media[0].kernel.Pending() + media[1].kernel.Pending(); p != 0 {
 		t.Fatalf("isolated broadcast left %d pending events, want 0", p)
@@ -178,7 +178,7 @@ func TestShardedMediaPanics(t *testing.T) {
 
 	group := sim.NewShardGroup(2)
 	media := NewShardedMedia(group, field, energy.Telos(), UnitDisk{Range: 5}, topo, []int32{0, 1}, 12)
-	media[0].AddNode(0, positions[0], &sink{listening: true, k: media[0].kernel}, nil)
+	media[0].AddNode(0, positions[0], &sink{k: media[0].kernel}, nil)
 	expectPanic("broadcast from a non-local sender", func() {
 		media[0].Broadcast(1, Envelope{Kind: KindRequest, Wire: 12})
 	})
@@ -186,7 +186,7 @@ func TestShardedMediaPanics(t *testing.T) {
 		media[0].Broadcast(0, Envelope{Kind: KindRequest, Wire: 8})
 	})
 	expectPanic("node outside the sharded topology", func() {
-		media[1].AddNode(7, geom.V(20, 50), &sink{listening: true, k: media[1].kernel}, nil)
+		media[1].AddNode(7, geom.V(20, 50), &sink{k: media[1].kernel}, nil)
 	})
 	expectPanic("EnableCollisions on a sharded medium", func() { media[0].EnableCollisions() })
 	expectPanic("EnableCSMA on a sharded medium", func() { media[0].EnableCSMA(DefaultCSMA()) })
@@ -272,11 +272,9 @@ func TestHopClasses(t *testing.T) {
 
 // stampSink schedules one event a second after each delivery it accepts.
 type stampSink struct {
-	k         *sim.Kernel
-	listening bool
+	k *sim.Kernel
 }
 
-func (s *stampSink) Listening() bool { return s.listening }
 func (s *stampSink) Deliver(NodeID, Envelope) {
 	s.k.Schedule(1, func(*sim.Kernel) {})
 }
@@ -299,7 +297,8 @@ func TestShardedClassStamps(t *testing.T) {
 	for i, pos := range positions {
 		m := media[owner[i]]
 		// Node 2 sleeps, so only node 0 (class 3) acts on node 1's broadcast.
-		m.AddNode(NodeID(i), pos, &stampSink{k: m.kernel, listening: i != 2}, nil)
+		m.AddNode(NodeID(i), pos, &stampSink{k: m.kernel}, nil)
+		m.SetListening(NodeID(i), i != 2)
 	}
 	for i, want := range []uint16{3, 2, 1, 0, 0} {
 		if got := media[owner[i]].HopClass(NodeID(i)); got != want {

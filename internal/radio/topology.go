@@ -7,14 +7,14 @@ import (
 )
 
 // Topology is a frozen CSR connectivity graph for a static deployment: for
-// every node (by dense index in ascending-ID registration order) the indices
-// of all nodes within maxRange, ascending, self excluded, plus the
-// precomputed link distance of every edge. PAS deployments never move, so
-// the receiver candidate set of every broadcast is fixed for the lifetime of
-// a run; compiling it once turns the per-broadcast spatial-hash window scan
-// into a flat row walk. A Topology is immutable after compilation and safe
-// to share across concurrently running Mediums — the experiment harness
-// memoizes one per (deployment, maxRange) and hands it to every cell.
+// every node (row i for node ID i) the indices of all nodes within maxRange,
+// ascending, self excluded, plus the precomputed link distance of every
+// edge. PAS deployments never move, so the receiver candidate set of every
+// broadcast is fixed for the lifetime of a run; compiling it once turns the
+// per-broadcast spatial-hash window scan into a flat row walk. A Topology is
+// immutable after compilation and safe to share across concurrently running
+// Mediums — the experiment harness memoizes one per (deployment, maxRange)
+// and hands it to every cell.
 type Topology struct {
 	n        int
 	maxRange float64

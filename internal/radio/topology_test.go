@@ -72,7 +72,7 @@ func topoRig(n int, lossRange float64) (*sim.Kernel, *Medium, []*countSink) {
 	m := NewMedium(k, geom.R(0, 0, 100, 100), energy.Telos(), UnitDisk{Range: lossRange}, st)
 	sinks := make([]*countSink, n)
 	for i := range sinks {
-		sinks[i] = &countSink{listening: true}
+		sinks[i] = &countSink{}
 		m.AddNode(NodeID(i), geom.V(float64(10+i*4), 50), sinks[i], nil)
 	}
 	return k, m, sinks
@@ -87,7 +87,7 @@ func TestMediumAdoptsPresetTopology(t *testing.T) {
 
 	k, m, sinks := topoRig(0, 15)
 	for i, pos := range positions {
-		sinks = append(sinks, &countSink{listening: true})
+		sinks = append(sinks, &countSink{})
 		m.AddNode(NodeID(i), pos, sinks[i], nil)
 	}
 	m.SetTopology(preset)
@@ -133,8 +133,8 @@ func TestAddNodeInvalidatesFrozenTopology(t *testing.T) {
 		t.Fatalf("frozen over %d nodes, want 2", frozen.NodeCount())
 	}
 
-	late := &countSink{listening: true}
-	m.AddNode(99, geom.V(12, 50), late, nil)
+	late := &countSink{}
+	m.AddNode(2, geom.V(12, 50), late, nil)
 	if got := m.NeighborIDs(0); len(got) != 2 {
 		t.Fatalf("post-AddNode NeighborIDs(0) = %v, want 2 neighbours", got)
 	}
@@ -156,15 +156,15 @@ func TestAddNodeInvalidatesFrozenTopology(t *testing.T) {
 func TestReserveMidRegistration(t *testing.T) {
 	k, m, _ := topoRig(2, 15)
 	m.Reserve(4)
-	extra := []*countSink{{listening: true}, {listening: true}}
-	m.AddNode(10, geom.V(22, 50), extra[0], nil)
-	m.AddNode(11, geom.V(26, 50), extra[1], nil)
-	m.Broadcast(10, Envelope{Kind: KindRequest, Wire: 12})
+	extra := []*countSink{{}, {}}
+	m.AddNode(2, geom.V(22, 50), extra[0], nil)
+	m.AddNode(3, geom.V(26, 50), extra[1], nil)
+	m.Broadcast(2, Envelope{Kind: KindRequest, Wire: 12})
 	k.Run()
 	if extra[1].delivered != 1 {
 		t.Errorf("slab-registered neighbour got %d deliveries, want 1", extra[1].delivered)
 	}
-	if m.NodeCount() != 4 {
-		t.Errorf("NodeCount = %d, want 4", m.NodeCount())
+	if got := m.Topology().NodeCount(); got != 4 {
+		t.Errorf("NodeCount = %d, want 4", got)
 	}
 }

@@ -28,13 +28,33 @@ func (s *Source) Seed() int64 { return int64(s.seed) }
 // Stream twice with the same name returns independently-seeded generators in
 // identical initial states.
 func (s *Source) Stream(name string) *Stream {
-	return &Stream{Rand: rand.New(rand.NewSource(int64(streamState(nameHash(name), s.seed))))}
+	return &Stream{Rand: rand.New(&lazySource{seed: int64(streamState(nameHash(name), s.seed))})}
 }
 
 // StreamN returns a numbered variant of a named stream (e.g. one stream per
 // node or per replication).
 func (s *Source) StreamN(name string, n int) *Stream {
-	return &Stream{Rand: rand.New(rand.NewSource(int64(streamStateN(nameHash(name), s.seed, uint64(n)))))}
+	return &Stream{Rand: rand.New(&lazySource{seed: int64(streamStateN(nameHash(name), s.seed, uint64(n)))})}
+}
+
+// lazySource is a math/rand source that is created and seeded on its first
+// draw. The generator is a 4.9 KB table with a seeding loop, and many runs
+// build streams they never draw from (a unit-disk channel without CSMA, for
+// one); the draws are those of rand.NewSource(seed), Seed included.
+type lazySource struct {
+	seed int64
+	src  rand.Source64 // nil until the first draw
+}
+
+func (l *lazySource) Int63() int64    { return l.source().Int63() }
+func (l *lazySource) Uint64() uint64  { return l.source().Uint64() }
+func (l *lazySource) Seed(seed int64) { l.seed, l.src = seed, nil } // the next draw seeds afresh
+
+func (l *lazySource) source() rand.Source64 {
+	if l.src == nil {
+		l.src = rand.NewSource(l.seed).(rand.Source64)
+	}
+	return l.src
 }
 
 // nameHash is the FNV-64a hash of a stream name.

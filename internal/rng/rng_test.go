@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -275,5 +278,75 @@ func TestSplitmix64Mixes(t *testing.T) {
 	}
 	if bits < 10 {
 		t.Errorf("adjacent inputs differ in only %d bits", bits)
+	}
+}
+
+// drawMix takes one draw of each kind the simulator uses, so a lazily seeded
+// stream and an eager generator can be compared draw for draw.
+func drawMix(r *rand.Rand) []float64 {
+	out := []float64{r.Float64(), float64(r.Int63()), float64(r.Uint64() >> 11), float64(r.Intn(1000)),
+		r.NormFloat64(), r.ExpFloat64()}
+	for _, p := range r.Perm(5) {
+		out = append(out, float64(p))
+	}
+	return out
+}
+
+func TestLazyStreamsMatchEagerGenerators(t *testing.T) {
+	for _, seed := range []int64{0, 1, 42, -7} {
+		src := NewSource(seed)
+		for _, name := range []string{"channel", "deploy", ""} {
+			for _, n := range []int{-1, 0, 3} {
+				var st *Stream
+				var state uint64
+				if n < 0 {
+					st, state = src.Stream(name), streamState(nameHash(name), uint64(seed))
+				} else {
+					st, state = src.StreamN(name, n), streamStateN(nameHash(name), uint64(seed), uint64(n))
+				}
+				eager := rand.New(rand.NewSource(int64(state)))
+				compare := func(stage string) {
+					t.Helper()
+					for i := 0; i < 4; i++ {
+						got, want := drawMix(st.Rand), drawMix(eager)
+						if !slices.Equal(got, want) {
+							t.Fatalf("seed %d %q #%d %s: lazy stream drew %v, eager generator %v", seed, name, n, stage, got, want)
+						}
+					}
+				}
+				compare("fresh")
+				st.Seed(seed + 99)
+				eager.Seed(seed + 99)
+				compare("after Seed")
+			}
+		}
+	}
+	// Seed before the first draw reseeds the generator the draw will create.
+	st := NewSource(5).Stream("channel")
+	st.Seed(11)
+	eager := rand.New(rand.NewSource(11))
+	if got, want := drawMix(st.Rand), drawMix(eager); !slices.Equal(got, want) {
+		t.Fatalf("Seed before the first draw: lazy stream drew %v, eager generator %v", got, want)
+	}
+}
+
+func TestUndrawnStreamAllocatesNoGenerator(t *testing.T) {
+	const n = 64
+	streams := make([]*Stream, n)
+	src := NewSource(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range streams {
+		streams[i] = src.StreamN("channel", i)
+	}
+	runtime.ReadMemStats(&after)
+	// A seeded generator is a 607-word table, 4.9 KB.
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= 1024 {
+		t.Errorf("an undrawn stream allocates %d bytes, want no generator table", per)
+	}
+	streams[0].Float64()
+	runtime.ReadMemStats(&before)
+	if grew := before.TotalAlloc - after.TotalAlloc; grew < 4096 {
+		t.Errorf("the first draw allocated %d bytes, want the generator table", grew)
 	}
 }

@@ -226,17 +226,25 @@
 //     pointer-free tagged union). A full broadcast→delivery cycle —
 //     including a nested rebroadcast from inside a delivery — allocates
 //     nothing (the radio alloc tests pin 0 allocs/op). AddNode after the
-//     freeze recompiles the topology on the next broadcast.
+//     freeze recompiles the topology on the next broadcast. The medium keeps
+//     its endpoints in one table indexed by node ID, and each endpoint
+//     carries a listening bit that the node sets whenever it sleeps, wakes,
+//     fails or recovers, so a fan-out target that is asleep (the common case
+//     under PAS) costs one load, not a call into the node.
 //   - Construction is slab-allocated: the network builder carves nodes,
 //     radio endpoints and protocol agents from per-network slabs, meters
 //     and timers are embedded by value, and protocol callbacks are
 //     package-level arg handlers bound to the agent, so building a
-//     1 000-node network costs about 44 allocations in all, not one per
-//     node (BenchmarkNetworkConstruction tracks the build-only cost).
+//     1 000-node network costs about 38 allocations in all, not one per
+//     node (BenchmarkNetworkConstruction tracks the build-only cost). A
+//     random stream's generator is built and seeded on its first draw, so a
+//     run pays nothing for a stream it never draws from (a unit-disk channel
+//     without CSMA).
 //   - Each PAS or SAS agent keeps its neighbour reports in one
 //     predict.Table, sorted by ID, and hands it to the predictor as is:
 //     a RESPONSE replaces its sender's entry in place, and a refresh reads
-//     the table with no map, copy or sort.
+//     the table with no map, copy or sort. The §3.3 arrival estimate takes
+//     |v_I| and |I→X| once each per report and derives cos θ from them.
 //   - internal/experiment memoizes deployments AND their compiled
 //     topologies: every cell sharing (seed, field, nodes, range, loss
 //     range) reuses one immutable deployment and one CSR compilation
