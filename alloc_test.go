@@ -64,14 +64,28 @@ func TestRunPathAllocs(t *testing.T) {
 				}
 			}
 		}},
-		{"serve hit", 200, 177, func(t *testing.T) func() {
-			return serveOp(t, `{"name":"paper","seed":1}`)
+		{"serve hit", 200, 34, func(t *testing.T) func() {
+			return serveOp(t, "POST", "/v1/runs", `{"name":"paper","seed":1}`)
 		}},
 		// The shards hint is an execution hint outside the result key, so
 		// this is a memory hit too; its verdict must not build the plume's
 		// PDE stimulus.
-		{"serve hit with shards hint", 200, 269, func(t *testing.T) func() {
-			return serveOp(t, `{"name":"plume","seed":1,"shards":2}`)
+		{"serve hit with shards hint", 200, 36, func(t *testing.T) func() {
+			return serveOp(t, "POST", "/v1/runs", `{"name":"plume","seed":1,"shards":2}`)
+		}},
+		// An inline spec is canonicalized on every request; the server's
+		// table of registry specs does not cover it.
+		{"serve hit, inline spec", 200, 200, func(t *testing.T) func() {
+			sp, _ := pas.LookupScenario("paper")
+			canon, err := pas.CanonicalScenario(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return serveOp(t, "POST", "/v1/runs", `{"scenario":`+string(canon)+`,"seed":1}`)
+		}},
+		// The hashes come from the same table.
+		{"scenario listing", 50, 39, func(t *testing.T) func() {
+			return serveOp(t, "GET", "/v1/scenarios", "")
 		}},
 		{"store read", 200, 8, func(t *testing.T) func() {
 			s, err := store.Open(t.TempDir())
@@ -101,9 +115,9 @@ func TestRunPathAllocs(t *testing.T) {
 	}
 }
 
-// serveOp returns one POST /v1/runs of body to a fresh in-memory server,
-// which must answer 200.
-func serveOp(t *testing.T, body string) func() {
+// serveOp returns one request to a fresh in-memory server, which must
+// answer 200.
+func serveOp(t *testing.T, method, path, body string) func() {
 	srv, err := pas.NewServer(pas.ServeConfig{Version: "alloc"})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +125,7 @@ func serveOp(t *testing.T, body string) func() {
 	t.Cleanup(func() { srv.Close() })
 	return func() {
 		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest("POST", "/v1/runs", strings.NewReader(body)))
+		srv.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
 		if w.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", w.Code, w.Body)
 		}

@@ -2,7 +2,12 @@ package serve
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
+	"slices"
 	"sync"
+
+	"repro/internal/scenario"
 )
 
 // resultCache is the process-wide content-addressed result store: finished
@@ -65,4 +70,38 @@ func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
+}
+
+// specTable holds the canonical encoding of every registry scenario a server
+// has been asked for, with its content hash, keyed by name and protocol. The
+// registry is fixed when the program starts, so a registry spec with its
+// protocol set is a function of the key, and so is its encoding: an entry is
+// filled by scenario.Canonical on the first request for its key and served
+// from then on. The keys are the registry's names times the four protocols,
+// plus each name with its protocol as registered (the listing's), so the
+// table never evicts. Concurrent requests share the entries, which nothing
+// writes after the fill; callers must not mutate them.
+type specTable struct{ m sync.Map } // specKey → *specEntry
+
+type specKey struct{ name, protocol string }
+
+type specEntry struct {
+	canon []byte // capacity clipped, so an append copies
+	hash  string // hex SHA-256 of canon, as scenario.Hash computes it
+}
+
+// get returns the entry of sp, which must be registry scenario sp.Name with
+// at most its protocol changed, as resolveSpec and scenario.All return it.
+func (t *specTable) get(sp scenario.Scenario) (*specEntry, error) {
+	k := specKey{sp.Name, sp.Protocol.Name}
+	if e, ok := t.m.Load(k); ok {
+		return e.(*specEntry), nil
+	}
+	canon, err := scenario.Canonical(sp)
+	if err != nil {
+		return nil, err
+	}
+	sum := sha256.Sum256(canon)
+	e, _ := t.m.LoadOrStore(k, &specEntry{canon: slices.Clip(canon), hash: hex.EncodeToString(sum[:])})
+	return e.(*specEntry), nil
 }

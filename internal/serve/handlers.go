@@ -112,9 +112,9 @@ type simCall struct {
 
 // parse is the request parser of all three simulation endpoints: decode
 // (unknown fields rejected, so typos fail loudly), resolve the spec,
-// materialize the seed list, canonicalize, check the shards hint, derive the
-// content key. mode is the endpoint's; POST /v1/jobs passes "" and reads the
-// mode from the body.
+// materialize the seed list, canonicalize (a registry spec through the
+// server's table), check the shards hint, derive the content key. mode is
+// the endpoint's; POST /v1/jobs passes "" and reads the mode from the body.
 func (s *Server) parse(r *http.Request, mode string) (simCall, error) {
 	var req jobRequest
 	var into any = &req.simRequest
@@ -141,7 +141,7 @@ func (s *Server) parse(r *http.Request, mode string) (simCall, error) {
 			return simCall{}, err
 		}
 	}
-	canon, err := scenario.Canonical(sp)
+	canon, err := s.canonical(req.simRequest, sp)
 	if err != nil {
 		return simCall{}, badRequest("%v", err)
 	}
@@ -156,6 +156,20 @@ func (s *Server) parse(r *http.Request, mode string) (simCall, error) {
 		sp:      sp,
 		timeout: s.timeout(req.simRequest),
 	}, nil
+}
+
+// canonical returns the canonical encoding of the spec resolveSpec made of
+// req: a named spec's from the server's table, an inline one's computed
+// afresh.
+func (s *Server) canonical(req simRequest, sp scenario.Scenario) ([]byte, error) {
+	if req.Name == "" {
+		return scenario.Canonical(sp)
+	}
+	e, err := s.specs.get(sp)
+	if err != nil {
+		return nil, err
+	}
+	return e.canon, nil
 }
 
 // handleSim serves a synchronous simulation endpoint (POST /v1/runs with
@@ -306,7 +320,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	all := scenario.All()
 	infos := make([]ScenarioInfo, 0, len(all))
 	for _, sp := range all {
-		hash, err := scenario.Hash(sp)
+		e, err := s.specs.get(sp)
 		if err != nil {
 			s.writeError(w, err)
 			return
@@ -316,7 +330,7 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 			Description: sp.Description,
 			Nodes:       sp.Nodes,
 			Horizon:     sp.Horizon,
-			Hash:        hash,
+			Hash:        e.hash,
 		})
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })

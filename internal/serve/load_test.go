@@ -179,11 +179,11 @@ func TestServeLoadSaturation(t *testing.T) {
 }
 
 // BenchmarkServeCacheHit measures the full HTTP round-trip of a cache hit
-// against the in-process handler (no network): JSON decode,
-// canonicalization, content-address derivation, result-store hit and
-// response write, with the simulation itself absorbed by the cache. The
-// root package's TestRunPathAllocs holds the same request to an allocation
-// ceiling.
+// against the in-process handler (no network): JSON decode, the spec
+// table's canonical encoding of the named scenario, content-address
+// derivation, result-store hit and response write, with the simulation
+// itself absorbed by the cache. The root package's TestRunPathAllocs holds
+// the same request to an allocation ceiling.
 func BenchmarkServeCacheHit(b *testing.B) {
 	s := mustNew(b, Config{Version: "bench"})
 	req := `{"name":"paper","seed":1}`

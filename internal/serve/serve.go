@@ -17,15 +17,18 @@
 // spec JSON, seed list) — scenario.Canonical materializes defaults and
 // sorts keys, so every spelling of the same workload shares one cache line,
 // and the code-version component keeps results from one build from leaking
-// into the next. Every simulation request, sync or async, takes one path
-// (engine.go): content key, memory tier, disk tier, the by-key index of
-// in-flight computations, admission, guarded compute, persist. Concurrent
-// requests for one key share one computation, which runs until its last
-// waiter leaves. Only a new computation takes an admission slot — Workers
-// running plus QueueDepth waiting — and a request needing one beyond that is
-// rejected with 429 (backpressure, not unbounded queueing). A sync request
-// waits under its deadline (504 on expiry); a job is the same submit with a
-// journal entry fsynced before its 202.
+// into the next. A request naming a registry scenario takes its canonical
+// spec from the server's table (cache.go), which scenario.Canonical fills
+// once per name and protocol, so a hit on it re-encodes nothing; an inline
+// spec is canonicalized on every request. Every simulation request, sync or
+// async, takes one path (engine.go): content key, memory tier, disk tier, the
+// by-key index of in-flight computations, admission, guarded compute,
+// persist. Concurrent requests for one key share one computation, which runs
+// until its last waiter leaves. Only a new computation takes an admission
+// slot — Workers running plus QueueDepth waiting — and a request needing one
+// beyond that is rejected with 429 (backpressure, not unbounded queueing). A
+// sync request waits under its deadline (504 on expiry); a job is the same
+// submit with a journal entry fsynced before its 202.
 package serve
 
 import (
@@ -140,6 +143,7 @@ type Server struct {
 	mux   *http.ServeMux
 	work  chan struct{} // execution: Workers slots
 	cache *resultCache
+	specs specTable
 	stats serverStats
 	start time.Time
 

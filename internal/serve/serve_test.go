@@ -87,12 +87,34 @@ func TestHealthz(t *testing.T) {
 }
 
 // TestScenariosSortedWithHashes pins the registry listing: sorted by name,
-// every registry entry present, every hash the canonical content hash.
+// every registry entry present, every hash the canonical content hash of the
+// entry as registered, and the body byte-identical to one built from
+// scenario.Hash, both on the call that fills the spec table and on a repeat.
 func TestScenariosSortedWithHashes(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	resp, body := get(t, ts.URL, "/v1/scenarios")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+	var direct []ScenarioInfo
+	for _, sp := range scenario.All() {
+		hash, err := scenario.Hash(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct = append(direct, ScenarioInfo{Name: sp.Name, Description: sp.Description,
+			Nodes: sp.Nodes, Horizon: sp.Horizon, Hash: hash})
+	}
+	sort.Slice(direct, func(i, j int) bool { return direct[i].Name < direct[j].Name })
+	want, err := marshalBody(map[string]any{"scenarios": direct})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, again := get(t, ts.URL, "/v1/scenarios")
+	for i, got := range [][]byte{body, again} {
+		if !bytes.Equal(got, want) {
+			t.Fatalf("listing %d:\n%s\nwant\n%s", i, got, want)
+		}
 	}
 	var out struct {
 		Scenarios []ScenarioInfo `json:"scenarios"`

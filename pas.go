@@ -77,16 +77,17 @@
 // registry name, inline spec, defaults spelled out — shares one cache line.
 // CanonicalScenario produces that canonical encoding (sorted keys, defaults
 // materialized, kind-irrelevant fields zeroed) and ScenarioHash its content
-// hash. Sync requests and async jobs take one execution path: a store
-// lookup, then a by-key index of in-flight computations, so concurrent
-// requests for one key — sync or async — share one simulation, which runs
-// until its last waiter leaves. Only a new computation takes one of the
-// bounded admission slots, and a request or job needing one beyond them is
-// rejected with 429; a sync request waits under its deadline (504 on
-// expiry). Every 4xx/5xx body is {"code","error"} with a small stable code
-// vocabulary (bad_request, not_found, saturated, deadline, panic, internal,
-// not_ready, job_failed, draining) so callers branch on codes, never on
-// message text:
+// hash; a server encodes each registry scenario once per protocol and keeps
+// the bytes, so only an inline spec is encoded per request. Sync requests
+// and async jobs take one execution path: a store lookup, then a by-key
+// index of in-flight computations, so concurrent requests for one key —
+// sync or async — share one simulation, which runs until its last waiter
+// leaves. Only a new computation takes one of the bounded admission slots,
+// and a request or job needing one beyond them is rejected with 429; a sync
+// request waits under its deadline (504 on expiry). Every 4xx/5xx body is
+// {"code","error"} with a small stable code vocabulary (bad_request,
+// not_found, saturated, deadline, panic, internal, not_ready, job_failed,
+// draining) so callers branch on codes, never on message text:
 //
 //	POST /v1/runs          {"name":"paper","seed":1}         one simulation
 //	POST /v1/replicate     {"name":"paper","seeds":[1,2,3]}  seed aggregate
@@ -307,11 +308,12 @@
 // regression: AllocsPerRun tests in each package pin the 0-alloc paths
 // (kernel dispatch, radio fan-out, predictor step, codecs) exactly, and the
 // root package's alloc_test.go holds the end-to-end paths (PAS, SAS and
-// churn runs, a 1k-node build, a scale-10k run, the runner pool, a served
-// cache hit, a store read) to ceilings. `go test -run Allocs ./...` runs
-// them all. Timing belongs to the repository benchmark in perfbench/ (its
-// workloads are listed in BENCHMARK.json), which reports wall time scaled to
-// a fixed host speed; the Benchmark* functions remain as pprof entry points.
+// churn runs, a 1k-node build, a scale-10k run, the runner pool, served
+// cache hits of a named and an inline spec, a scenario listing, a store
+// read) to ceilings. `go test -run Allocs ./...` runs them all. Timing
+// belongs to the repository benchmark in perfbench/ (its workloads are
+// listed in BENCHMARK.json), which reports wall time scaled to a fixed host
+// speed; the Benchmark* functions remain as pprof entry points.
 //
 // # Module layout
 //
